@@ -24,7 +24,6 @@ from densefw import (
     AVERAGING,
     STANDARD,
     decompose_supermodular,
-    density_vector,
     edge_count_fn,
     frank_wolfe,
     fw_tree_pack,
@@ -51,7 +50,7 @@ def run_one(name, g, out_dir: Path, iters: int) -> dict:
 
     f = edge_count_fn(g)
     dec = decompose_supermodular(f)
-    ref = density_vector(f) if g.n <= REF_CAP else None
+    ref = dec.vector(f.ground) if g.n <= REF_CAP else None
     body = dec.to_json_dict()
     if ref is not None:
         body["density_vector"] = {str(v): str(x) for v, x in zip(ref.ground, ref.values)}

@@ -38,8 +38,6 @@ from .peel import (
 )
 from .polytope import (
     BaseVector,
-    DensityVector,
-    LoadVector,
     Orientation,
     enumerate_base_vertices,
     lmo_contrapolymatroid,
@@ -53,14 +51,11 @@ from .setfn import (
     dualize,
     edge_count_fn,
     graphic_rank_fn,
-    marginal,
     nn_sum,
     restrict,
 )
 from .treepack import (
-    deletion_blocks,
     fw_tree_pack,
-    greedy_tree_pack,
     ideal_loads,
     tnw_ideal_loads,
     tnw_strength,
@@ -73,9 +68,7 @@ __all__ = [
     "BaseVector",
     "ConvergenceTrace",
     "DenseDecomposition",
-    "DensityVector",
     "GreedyPPResult",
-    "LoadVector",
     "MultiGraph",
     "Orientation",
     "PeelResult",
@@ -88,7 +81,6 @@ __all__ = [
     "curvature_bounds",
     "decompose_submodular_deletion",
     "decompose_supermodular",
-    "deletion_blocks",
     "delta_for_graph",
     "densest_set_bruteforce",
     "density_vector",
@@ -99,13 +91,11 @@ __all__ = [
     "fw_tree_pack",
     "graphic_rank_fn",
     "greedy_pp",
-    "greedy_tree_pack",
     "harmonic_bound",
     "ideal_loads",
     "is_connected",
     "lmo_contrapolymatroid",
     "lmo_polymatroid",
-    "marginal",
     "minimum_spanning_tree",
     "nn_sum",
     "optimal_orientation",

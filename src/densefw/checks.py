@@ -13,21 +13,15 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import decomp, fw, peel, polytope, setfn, treepack
 from .graph import MultiGraph, is_connected
 
 
-def integral_orientation_loads(g: MultiGraph) -> np.ndarray:
+def integral_orientation_loads(g: MultiGraph) -> list[tuple[int, ...]]:
     """Loads of all 2^m integral orientations, one row per orientation."""
     if g.m > 10:
         raise ValueError("orientation enumeration limited to 10 edges")
-    rows = np.zeros((1 << g.m, g.n), dtype=np.int64)
-    for mask in range(1 << g.m):
-        for i, (u, v) in enumerate(g.edges):
-            rows[mask, u if mask >> i & 1 else v] += 1
-    return rows
+    return [polytope.Orientation.from_mask(g, mask).induced_load(g).values for mask in range(1 << g.m)]
 
 
 def curvature_witness(g: MultiGraph) -> int:
@@ -36,11 +30,8 @@ def curvature_witness(g: MultiGraph) -> int:
     Lands in [2m, 2 * sum deg^2]; the witness pair certifies the lower end
     of the curvature bracket.
     """
-    loads = integral_orientation_loads(g)
-    sq = np.einsum("ij,ij->i", loads, loads)
-    gram = loads @ loads.T
-    d2 = sq[:, None] + sq[None, :] - 2 * gram
-    return 2 * int(d2.max())
+    rows = set(integral_orientation_loads(g))
+    return 2 * max(sum((a - b) ** 2 for a, b in zip(s, x)) for s in rows for x in rows)
 
 
 @dataclass
@@ -69,7 +60,7 @@ def run_instance_checks(g: MultiGraph, seed: int = 0) -> list[CheckResult]:
         back = setfn.dualize(dual)
         add(
             "dualize_involution",
-            all(back.value(s) == f_rank.value(s) for s in _subsets(f_rank.ground)),
+            all(back.value(s) == f_rank.value(s) for s in setfn.subsets(f_rank.ground)),
         )
 
     if g.n <= 20:
@@ -96,7 +87,7 @@ def run_instance_checks(g: MultiGraph, seed: int = 0) -> list[CheckResult]:
 
     if g.m <= 10:
         loads = integral_orientation_loads(g)
-        distinct = {tuple(int(x) for x in row) for row in loads}
+        distinct = set(loads)
         add("orientation_loads_are_bases", all(polytope.verify_base(f_edges, row) for row in distinct))
         if g.n <= 6:
             verts = {v.values for v in polytope.enumerate_base_vertices(f_edges, limit=6)}
@@ -137,9 +128,3 @@ def run_instance_checks(g: MultiGraph, seed: int = 0) -> list[CheckResult]:
         add("max_load_is_inv_strength", max(ideal.values) == one_over_tau)
     return out
 
-
-def _subsets(elems):
-    from itertools import combinations
-
-    for r in range(len(elems) + 1):
-        yield from (frozenset(c) for c in combinations(elems, r))

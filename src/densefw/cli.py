@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -33,24 +33,6 @@ EXIT_INFEASIBLE = 3
 EXIT_USAGE = 64
 
 _REF_SIZE_CAP = 12  # compute exact reference vectors for traces up to this size
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation: which command, on what input, with what knobs."""
-
-    command: str
-    path: str
-    iters: int = 100
-    epsilon: Optional[float] = None
-    schedule: str = "avg"
-    variant: str = "sup"
-    fn: str = "edges"
-    mode: str = "greedy"
-    out: Optional[str] = None
-    trace: Optional[str] = None
-    exact: bool = False
-    seed: Optional[int] = None  # reserved; tie-breaking is deterministic
 
 
 class _Parser(argparse.ArgumentParser):
@@ -135,120 +117,110 @@ def _edge_ref(g: MultiGraph):
     return None
 
 
-def _cmd_density(cfg: RunConfig) -> int:
-    g = _load_graph(cfg.path)
+def _cmd_density(ns: argparse.Namespace, g: MultiGraph) -> int:
     best, dens = decomp.densest_set_bruteforce(setfn.edge_count_fn(g))
-    _emit({"set": sorted(best), "density": str(dens)}, cfg.out)
+    _emit({"set": sorted(best), "density": str(dens)}, ns.out)
     return EXIT_OK
 
 
-def _cmd_decompose(cfg: RunConfig) -> int:
-    g = _load_graph(cfg.path)
-    if cfg.variant == "sup":
+def _cmd_decompose(ns: argparse.Namespace, g: MultiGraph) -> int:
+    if ns.variant == "sup":
         f = setfn.edge_count_fn(g)
         dec = decomp.decompose_supermodular(f)
     else:
         f = setfn.graphic_rank_fn(g)
         dec = decomp.decompose_submodular_deletion(f)
     body = dec.to_json_dict()
-    bstar = decomp.density_vector(f)
+    bstar = dec.vector(f.ground)
     body["density_vector"] = {str(e): str(v) for e, v in zip(bstar.ground, bstar.values)}
-    _emit(body, cfg.out)
+    _emit(body, ns.out)
     return EXIT_OK
 
 
-def _run_trace(cfg: RunConfig, trace) -> None:
-    if cfg.trace:
-        trace.write_csv(cfg.trace)
+def _run_trace(ns: argparse.Namespace, trace) -> None:
+    if ns.trace:
+        trace.write_csv(ns.trace)
 
 
-def _cmd_greedypp(cfg: RunConfig) -> int:
-    g = _load_graph(cfg.path)
-    ref = _edge_ref(g) if (cfg.trace or cfg.epsilon is not None) else None
-    res = peel.greedy_pp(g, cfg.iters, ref=ref, stop_dist=cfg.epsilon)
-    _run_trace(cfg, res.trace)
-    _emit(res.to_json_dict(), cfg.out)
+def _cmd_greedypp(ns: argparse.Namespace, g: MultiGraph) -> int:
+    ref = _edge_ref(g) if (ns.trace or ns.epsilon is not None) else None
+    res = peel.greedy_pp(g, ns.iters, ref=ref, stop_dist=ns.epsilon)
+    _run_trace(ns, res.trace)
+    _emit(res.to_json_dict(), ns.out)
     return EXIT_OK
 
 
-def _cmd_supergreedypp(cfg: RunConfig) -> int:
-    g = _load_graph(cfg.path)
-    if cfg.fn == "edges":
+def _cmd_supergreedypp(ns: argparse.Namespace, g: MultiGraph) -> int:
+    if ns.fn == "edges":
         f = setfn.edge_count_fn(g)
     else:
         f = setfn.dualize(setfn.graphic_rank_fn(g))
     ref = None
-    if (cfg.trace or cfg.epsilon is not None) and len(f.ground) <= _REF_SIZE_CAP:
+    if (ns.trace or ns.epsilon is not None) and len(f.ground) <= _REF_SIZE_CAP:
         ref = decomp.density_vector(f)
-    res = peel.supergreedy_pp(f, cfg.iters, ref=ref, stop_dist=cfg.epsilon)
-    _run_trace(cfg, res.trace)
-    _emit(res.to_json_dict(), cfg.out)
+    res = peel.supergreedy_pp(f, ns.iters, ref=ref, stop_dist=ns.epsilon)
+    _run_trace(ns, res.trace)
+    _emit(res.to_json_dict(), ns.out)
     return EXIT_OK
 
 
-def _cmd_treepack(cfg: RunConfig) -> int:
-    g = _load_graph(cfg.path)
+def _cmd_treepack(ns: argparse.Namespace, g: MultiGraph) -> int:
     ref = None
-    if (cfg.trace or cfg.epsilon is not None) and g.m <= 20:
+    if (ns.trace or ns.epsilon is not None) and g.m <= 20:
         ref = treepack.ideal_loads(g)
-    schedule = fw.schedule_from_name(cfg.schedule)
-    if cfg.mode == "greedy":
-        loads, trace = treepack.greedy_tree_pack(g, cfg.iters, ref=ref, stop_dist=cfg.epsilon)
-    else:
-        loads, trace = treepack.fw_tree_pack(g, cfg.iters, schedule=schedule, ref=ref, stop_dist=cfg.epsilon)
-    _run_trace(cfg, trace)
+    # greedy mode is Frank-Wolfe with averaging steps whatever --schedule says
+    schedule = fw.schedule_from_name(ns.schedule) if ns.mode == "fw" else fw.AVERAGING
+    loads, trace = treepack.fw_tree_pack(g, ns.iters, schedule=schedule, ref=ref, stop_dist=ns.epsilon)
+    _run_trace(ns, trace)
     _emit(
         {
             "loads": {str(e): _fmt(v) for e, v in zip(loads.ground, loads.values)},
             "iterations": len(trace.records),
         },
-        cfg.out,
+        ns.out,
     )
     return EXIT_OK
 
 
-def _cmd_idealloads(cfg: RunConfig) -> int:
-    g = _load_graph(cfg.path)
+def _cmd_idealloads(ns: argparse.Namespace, g: MultiGraph) -> int:
     loads = treepack.ideal_loads(g)
-    _emit({str(e): str(v) for e, v in zip(loads.ground, loads.values)}, cfg.out)
+    _emit({str(e): str(v) for e, v in zip(loads.ground, loads.values)}, ns.out)
     return EXIT_OK
 
 
-def _cmd_fw_qp(cfg: RunConfig) -> int:
-    g = _load_graph(cfg.path)
+def _cmd_fw_qp(ns: argparse.Namespace, g: MultiGraph) -> int:
     lmo = lambda w: polytope.optimal_orientation(g, w)[1]
-    ref = _edge_ref(g) if (cfg.trace or cfg.epsilon is not None) else None
+    ref = _edge_ref(g) if (ns.trace or ns.epsilon is not None) else None
     x, trace = fw.frank_wolfe(
         lmo,
         ground=tuple(range(g.n)),
-        schedule=fw.schedule_from_name(cfg.schedule),
-        iterations=cfg.iters,
+        schedule=fw.schedule_from_name(ns.schedule),
+        iterations=ns.iters,
         ref=ref,
-        exact=cfg.exact,
-        stop_dist=cfg.epsilon,
+        exact=ns.exact,
+        stop_dist=ns.epsilon,
     )
-    _run_trace(cfg, trace)
+    _run_trace(ns, trace)
     _emit(
         {
             "iterate": {str(v): _fmt(val) for v, val in zip(x.ground, x.values)},
             "objective": _fmt(sum(float(v) ** 2 for v in x.values)),
             "iterations": len(trace.records),
         },
-        cfg.out,
+        ns.out,
     )
     return EXIT_OK
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    g = _load_graph(cfg.path)
-    results = checks.run_instance_checks(g, seed=cfg.seed or 0)
+def _cmd_verify(ns: argparse.Namespace, g: MultiGraph) -> int:
+    results = checks.run_instance_checks(g, seed=ns.seed)
     ok = all(r.ok for r in results)
     _emit(
         {
             "ok": ok,
             "checks": [{"name": r.name, "ok": r.ok} for r in results],
         },
-        cfg.out,
+        ns.out,
     )
     return EXIT_OK if ok else 1
 
@@ -272,28 +244,14 @@ def run(argv: Optional[list[str]] = None) -> int:
         ns = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    cfg = RunConfig(
-        command=ns.command,
-        path=ns.path,
-        iters=getattr(ns, "iters", 100),
-        epsilon=getattr(ns, "epsilon", None),
-        schedule=getattr(ns, "schedule", "avg"),
-        variant=getattr(ns, "variant", "sup"),
-        fn=getattr(ns, "fn", "edges"),
-        mode=getattr(ns, "mode", "greedy"),
-        out=getattr(ns, "out", None),
-        trace=getattr(ns, "trace", None),
-        exact=getattr(ns, "exact", False),
-        seed=getattr(ns, "seed", None),
-    )
-    if cfg.iters < 1:
+    if "iters" in ns and ns.iters < 1:
         print("error: --iters must be >= 1", file=sys.stderr)
         return EXIT_INPUT
-    if cfg.epsilon is not None and cfg.epsilon <= 0:
-        print("error: --epsilon must be > 0", file=sys.stderr)
+    if "epsilon" in ns and ns.epsilon is not None and not 0 < ns.epsilon < math.inf:
+        print("error: --epsilon must be finite and > 0", file=sys.stderr)
         return EXIT_INPUT
     try:
-        return _COMMANDS[cfg.command](cfg)
+        return _COMMANDS[ns.command](ns, _load_graph(ns.path))
     except (GraphParseError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT

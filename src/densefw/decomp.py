@@ -30,8 +30,8 @@ from .errors import (
     GroundSetTooLargeError,
     OracleFlagError,
 )
-from .polytope import BaseVector, DensityVector, enumerate_base_vertices
-from .setfn import SUBMODULAR, SUPERMODULAR, SetFunctionOracle, dualize
+from .polytope import BaseVector, enumerate_base_vertices
+from .setfn import SUBMODULAR, SUPERMODULAR, SetFunctionOracle, dualize, subsets
 
 CONTRACTION = "supermodular_contraction"
 DELETION = "submodular_deletion"
@@ -60,6 +60,16 @@ class DenseDecomposition:
                 return i
         raise KeyError(v)
 
+    def vector(self, ground: tuple[int, ...]) -> BaseVector:
+        """Density vector over `ground`: each element gets its block's
+        density (contraction) or the reciprocal of its block's ratio
+        (deletion, so the values telescope to f(V))."""
+        per_block = self.densities
+        if self.variant == DELETION:
+            per_block = tuple(1 / r for r in per_block)
+        value_of = {e: val for block, val in zip(self.blocks, per_block) for e in block}
+        return BaseVector(ground, tuple(value_of[e] for e in ground))
+
     def to_json_dict(self) -> dict:
         return {
             "variant": self.variant,
@@ -77,13 +87,6 @@ def _check_cap(f: SetFunctionOracle):
         )
 
 
-def _subsets_of(elems: tuple[int, ...], include_empty: bool):
-    n = len(elems)
-    start = 0 if include_empty else 1
-    for mask in range(start, 1 << n):
-        yield frozenset(elems[i] for i in range(n) if mask >> i & 1)
-
-
 def densest_set_bruteforce(f: SetFunctionOracle) -> tuple[frozenset[int], Fraction]:
     """Maximal maximizer of f(S)/|S| over nonempty S, by full enumeration.
 
@@ -96,7 +99,9 @@ def densest_set_bruteforce(f: SetFunctionOracle) -> tuple[frozenset[int], Fracti
     _check_cap(f)
     best: Fraction | None = None
     union: set[int] = set()
-    for s in _subsets_of(f.ground, include_empty=False):
+    for s in subsets(f.ground):
+        if not s:
+            continue
         d = Fraction(f._eval(s), len(s))
         if best is None or d > best:
             best = d
@@ -124,7 +129,9 @@ def decompose_supermodular(f: SetFunctionOracle) -> DenseDecomposition:
     while remaining:
         best: Fraction | None = None
         union: set[int] = set()
-        for s in _subsets_of(remaining, include_empty=False):
+        for s in subsets(remaining):
+            if not s:
+                continue
             d = Fraction(f._eval(s | acc) - f_acc, len(s))
             if best is None or d > best:
                 best = d
@@ -162,7 +169,7 @@ def decompose_submodular_deletion(f: SetFunctionOracle) -> DenseDecomposition:
     while cur:
         best: Fraction | None = None
         inter: set[int] | None = None
-        for s in _subsets_of(cur, include_empty=True):
+        for s in subsets(cur):
             if len(s) == len(cur):
                 continue
             fs = f._eval(s)
@@ -194,25 +201,13 @@ def decompose_submodular_deletion(f: SetFunctionOracle) -> DenseDecomposition:
     return DenseDecomposition(DELETION, tuple(blocks), tuple(ratios))
 
 
-def density_vector(f: SetFunctionOracle) -> DensityVector:
-    """Per-element densities from the matching decomposition variant.
-
-    Supermodular: the density of the element's contraction block.
-    Submodular: the value-per-element of the element's deletion block,
-    i.e. the reciprocal of the block ratio. Either way the result is a base
-    of the polytope and the minimum-norm point.
-    """
+def density_vector(f: SetFunctionOracle) -> BaseVector:
+    """Per-element densities: decompose f with the variant matching its
+    kind, then read off `DenseDecomposition.vector(f.ground)`. The result
+    is a base of the polytope and the minimum-norm point."""
     if f.kind == SUPERMODULAR:
-        dec = decompose_supermodular(f)
-        per_block = dec.densities
-    else:
-        dec = decompose_submodular_deletion(f)
-        per_block = tuple(1 / r for r in dec.densities)
-    value_of: dict[int, Fraction] = {}
-    for block, val in zip(dec.blocks, per_block):
-        for e in block:
-            value_of[e] = val
-    return BaseVector(f.ground, tuple(value_of[e] for e in f.ground))
+        return decompose_supermodular(f).vector(f.ground)
+    return decompose_submodular_deletion(f).vector(f.ground)
 
 
 def certify_lex_optimal(f: SetFunctionOracle, x) -> bool:

@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .errors import GroundSetTooLargeError, OracleFlagError
 from .graph import MultiGraph
-from .setfn import SUBMODULAR, SUPERMODULAR, SetFunctionOracle
+from .setfn import SUBMODULAR, SUPERMODULAR, SetFunctionOracle, subsets
 
 
 @dataclass(frozen=True)
@@ -60,17 +60,34 @@ class BaseVector:
         return dict(zip(self.ground, self.values))
 
 
-# Load vectors over edges and density vectors over any ground set are just
-# base vectors; the aliases mark intent at call sites.
-DensityVector = BaseVector
-LoadVector = BaseVector
-
-
 def _require_kind(f: SetFunctionOracle, kind: str, op: str):
     if f.kind != kind:
         raise OracleFlagError(f"{op} requires a {kind} oracle, got {f.kind}")
     if not f.normalized:
         raise OracleFlagError(f"{op} requires a normalized oracle")
+
+
+def _chain(f: SetFunctionOracle, walk) -> tuple:
+    """Marginals along a chain of sets: the element at each position of
+    `walk` (indices into f.ground) receives f(chain through it) minus
+    f(chain before it)."""
+    vals: list = [0] * len(f.ground)
+    acc: frozenset[int] = frozenset()
+    fprev = f._eval(acc)
+    for pos in walk:
+        acc = acc | {f.ground[pos]}
+        fcur = f._eval(acc)
+        vals[pos] = fcur - fprev
+        fprev = fcur
+    return tuple(vals)
+
+
+def _order(f: SetFunctionOracle, w: Sequence) -> list[int]:
+    """Positions of f.ground sorted by (w_i, index) ascending."""
+    n = len(f.ground)
+    if len(w) != n:
+        raise ValueError(f"expected {n} weights, got {len(w)}")
+    return sorted(range(n), key=lambda i: (w[i], i))
 
 
 def lmo_polymatroid(f: SetFunctionOracle, w: Sequence) -> BaseVector:
@@ -80,19 +97,7 @@ def lmo_polymatroid(f: SetFunctionOracle, w: Sequence) -> BaseVector:
     elements receive the large early marginals. Scale-invariant in w.
     """
     _require_kind(f, SUBMODULAR, "lmo_polymatroid")
-    n = len(f.ground)
-    if len(w) != n:
-        raise ValueError(f"expected {n} weights, got {len(w)}")
-    order = sorted(range(n), key=lambda i: (w[i], i))
-    vals: list = [0] * n
-    prefix: frozenset[int] = frozenset()
-    fprev = f._eval(prefix)
-    for pos in order:
-        prefix = prefix | {f.ground[pos]}
-        fcur = f._eval(prefix)
-        vals[pos] = fcur - fprev
-        fprev = fcur
-    return BaseVector(f.ground, tuple(vals))
+    return BaseVector(f.ground, _chain(f, _order(f, w)))
 
 
 def lmo_contrapolymatroid(f: SetFunctionOracle, w: Sequence) -> BaseVector:
@@ -103,19 +108,7 @@ def lmo_contrapolymatroid(f: SetFunctionOracle, w: Sequence) -> BaseVector:
     that is heavier. Scale-invariant in w.
     """
     _require_kind(f, SUPERMODULAR, "lmo_contrapolymatroid")
-    n = len(f.ground)
-    if len(w) != n:
-        raise ValueError(f"expected {n} weights, got {len(w)}")
-    order = sorted(range(n), key=lambda i: (w[i], i))
-    vals: list = [0] * n
-    suffix: frozenset[int] = frozenset()
-    fprev = f._eval(suffix)
-    for pos in reversed(order):
-        suffix = suffix | {f.ground[pos]}
-        fcur = f._eval(suffix)
-        vals[pos] = fcur - fprev
-        fprev = fcur
-    return BaseVector(f.ground, tuple(vals))
+    return BaseVector(f.ground, _chain(f, reversed(_order(f, w))))
 
 
 def lmo(f: SetFunctionOracle, w: Sequence) -> BaseVector:
@@ -131,18 +124,8 @@ def enumerate_base_vertices(f: SetFunctionOracle, limit: int = 7) -> list[BaseVe
     n = len(f.ground)
     if n > limit:
         raise GroundSetTooLargeError(f"vertex enumeration limited to {limit} elements, got {n}")
-    seen: set[tuple] = set()
-    for perm in permutations(range(n)):
-        vals: list = [0] * n
-        acc: frozenset[int] = frozenset()
-        fprev = f._eval(acc)
-        walk = perm if f.kind == SUBMODULAR else tuple(reversed(perm))
-        for pos in walk:
-            acc = acc | {f.ground[pos]}
-            fcur = f._eval(acc)
-            vals[pos] = fcur - fprev
-            fprev = fcur
-        seen.add(tuple(vals))
+    sub = f.kind == SUBMODULAR
+    seen = {_chain(f, perm if sub else reversed(perm)) for perm in permutations(range(n))}
     return [BaseVector(f.ground, v) for v in sorted(seen)]
 
 
@@ -167,9 +150,11 @@ def verify_base(f: SetFunctionOracle, x, tol=0) -> bool:
     if abs(total - full) > tol:
         return False
     sub = f.kind == SUBMODULAR
-    for mask in range(1, 1 << n):
-        s = frozenset(f.ground[i] for i in range(n) if mask >> i & 1)
-        xs = sum(q[i] for i in range(n) if mask >> i & 1)
+    x_of = dict(zip(f.ground, q))
+    for s in subsets(f.ground):
+        if not s:
+            continue
+        xs = sum(x_of[e] for e in s)
         fs = f._eval(s)
         if sub:
             if xs > fs + tol:

@@ -58,10 +58,6 @@ class SetFunctionOracle:
         return self._eval(s | {v}) - self._eval(s)
 
 
-def marginal(f: SetFunctionOracle, v: int, base: Iterable[int]) -> Fraction | int:
-    return f.marginal(v, base)
-
-
 def _cached(fn: Callable[[frozenset[int]], Fraction | int]):
     cache: dict[frozenset[int], Fraction | int] = {}
 
@@ -154,7 +150,9 @@ def nn_sum(a, f: SetFunctionOracle, b, g: SetFunctionOracle) -> SetFunctionOracl
     )
 
 
-def _all_subsets(elems: tuple[int, ...]):
+def subsets(elems: tuple[int, ...]):
+    """Every subset of `elems` as a frozenset, lazily, by increasing size
+    (so the empty set comes first and `elems` itself last)."""
     for r in range(len(elems) + 1):
         yield from (frozenset(c) for c in combinations(elems, r))
 
@@ -165,11 +163,10 @@ def check_kind(f: SetFunctionOracle, limit: int = 8) -> bool:
     n = len(f.ground)
     if n > limit:
         raise GroundSetTooLargeError(f"kind check limited to {limit} elements, got {n}")
-    elems = f.ground
-    masks = list(_all_subsets(elems))
-    vals = {s: f._eval(s) for s in masks}
-    for a in masks:
-        for b in masks:
+    subs = list(subsets(f.ground))
+    vals = {s: f._eval(s) for s in subs}
+    for a in subs:
+        for b in subs:
             lhs = vals[a] + vals[b]
             rhs = vals[a | b] + vals[a & b]
             if f.kind == SUBMODULAR and lhs < rhs:
@@ -184,7 +181,7 @@ def check_monotone(f: SetFunctionOracle, limit: int = 8) -> bool:
     n = len(f.ground)
     if n > limit:
         raise GroundSetTooLargeError(f"monotonicity check limited to {limit} elements, got {n}")
-    for s in _all_subsets(f.ground):
+    for s in subsets(f.ground):
         fs = f._eval(s)
         for v in f.ground:
             if v not in s and f._eval(s | {v}) < fs:

@@ -19,11 +19,11 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional
 
-from .decomp import decompose_submodular_deletion, density_vector
+from .decomp import density_vector
 from .errors import DisconnectedGraphError, GroundSetTooLargeError
 from .fw import AVERAGING, ConvergenceTrace, StepSchedule, frank_wolfe
 from .graph import MultiGraph, is_connected, minimum_spanning_tree
-from .polytope import BaseVector, LoadVector
+from .polytope import BaseVector
 from .setfn import graphic_rank_fn
 
 
@@ -32,7 +32,7 @@ def _require_connected(g: MultiGraph):
         raise DisconnectedGraphError("tree packing needs a connected graph")
 
 
-def ideal_loads(g: MultiGraph) -> LoadVector:
+def ideal_loads(g: MultiGraph) -> BaseVector:
     """Exact per-edge ideal loads, summing to n - 1.
 
     Computed as the density vector of the graphic rank oracle: edges in the
@@ -42,12 +42,6 @@ def ideal_loads(g: MultiGraph) -> LoadVector:
     if g.m > 20:
         raise GroundSetTooLargeError(f"ideal loads limited to 20 edges, got {g.m}")
     return density_vector(graphic_rank_fn(g))
-
-
-def deletion_blocks(g: MultiGraph):
-    """Deletion decomposition of the rank oracle; first block ratio is the
-    strength tau(G) and its edges get load 1/tau."""
-    return decompose_submodular_deletion(graphic_rank_fn(g))
 
 
 def _partitions(n: int):
@@ -77,6 +71,11 @@ def _partitions(n: int):
             maxes[j] = maxes[i]
 
 
+def _part_of(parts) -> dict[int, int]:
+    """Map each element to the index of its block."""
+    return {v: pi for pi, block in enumerate(parts) for v in block}
+
+
 def tnw_strength(g: MultiGraph) -> Fraction:
     """Strength tau(G) = min over partitions with >= 2 parts of
     crossing-edges / (parts - 1), by exhaustive partition enumeration."""
@@ -89,10 +88,7 @@ def tnw_strength(g: MultiGraph) -> Fraction:
     for parts in _partitions(g.n):
         if len(parts) < 2:
             continue
-        part_of = {}
-        for pi, block in enumerate(parts):
-            for v in block:
-                part_of[v] = pi
+        part_of = _part_of(parts)
         crossing = sum(1 for u, v in g.edges if part_of[u] != part_of[v])
         ratio = Fraction(crossing, len(parts) - 1)
         if best is None or ratio < best:
@@ -101,7 +97,7 @@ def tnw_strength(g: MultiGraph) -> Fraction:
     return best
 
 
-def tnw_ideal_loads(g: MultiGraph) -> LoadVector:
+def tnw_ideal_loads(g: MultiGraph) -> BaseVector:
     """Independent ideal-load oracle: find the finest minimizing partition,
     assign 1/tau to its crossing edges, recurse on each part.
 
@@ -127,10 +123,7 @@ def _tnw_recurse(g: MultiGraph, edge_ids: list[int], out: dict[int, Fraction]):
     for parts in _partitions(len(verts)):
         if len(parts) < 2:
             continue
-        part_of = {}
-        for pi, block in enumerate(parts):
-            for v in block:
-                part_of[v] = pi
+        part_of = _part_of(parts)
         crossing = sum(1 for i in edge_ids if part_of[local[g.edges[i][0]]] != part_of[local[g.edges[i][1]]])
         ratio = Fraction(crossing, len(parts) - 1)
         if best is None or ratio < best or (ratio == best and len(parts) > len(best_parts)):
@@ -142,10 +135,7 @@ def _tnw_recurse(g: MultiGraph, edge_ids: list[int], out: dict[int, Fraction]):
     assert best is not None and best_parts is not None
     assert ties_at_best == 1, "finest minimizing partition should be unique"
     load = 1 / best
-    part_of = {}
-    for pi, block in enumerate(best_parts):
-        for v in block:
-            part_of[v] = pi
+    part_of = _part_of(best_parts)
     groups: dict[int, list[int]] = {}
     for i in edge_ids:
         u, v = g.edges[i]
@@ -175,10 +165,11 @@ def fw_tree_pack(
     ref=None,
     stop_dist: Optional[float] = None,
     exact: bool = False,
-) -> tuple[LoadVector, ConvergenceTrace]:
+) -> tuple[BaseVector, ConvergenceTrace]:
     """Frank-Wolfe on the spanning tree base polytope with the MST oracle.
 
-    The starting point is the MST under all-zero weights (smallest edge
+    With the default averaging schedule this is greedy tree packing, and
+    k * load^(k) is exactly the vector of tree counts. The starting point is the MST under all-zero weights (smallest edge
     indices win), which the first step immediately averages away.
     """
     _require_connected(g)
@@ -191,18 +182,3 @@ def fw_tree_pack(
         stop_dist=stop_dist,
         exact=exact,
     )
-
-
-def greedy_tree_pack(
-    g: MultiGraph,
-    iterations: int,
-    ref=None,
-    stop_dist: Optional[float] = None,
-    exact: bool = False,
-) -> tuple[LoadVector, ConvergenceTrace]:
-    """Pack trees greedily: always add the MST under current loads.
-
-    Identical, iterate for iterate, to fw_tree_pack with the averaging
-    schedule; k * load^(k) is exactly the vector of tree counts.
-    """
-    return fw_tree_pack(g, iterations, schedule=AVERAGING, ref=ref, stop_dist=stop_dist, exact=exact)

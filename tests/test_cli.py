@@ -178,10 +178,12 @@ class TestExitCodes:
         assert code == 2
         assert "--iters" in err
 
-    def test_bad_epsilon(self, capsys, data_dir):
-        code, _, _ = invoke(capsys, [
-            "treepack", "--epsilon", "-1", str(data_dir / "triangle.el")])
+    @pytest.mark.parametrize("epsilon", ["-1", "nan", "inf"])
+    def test_bad_epsilon(self, capsys, data_dir, epsilon):
+        code, _, err = invoke(capsys, [
+            "treepack", "--epsilon", epsilon, str(data_dir / "triangle.el")])
         assert code == 2
+        assert "--epsilon" in err
 
     def test_disconnected_infeasible_for_packing(self, capsys, tmp_path):
         path = write_graph(tmp_path, "split.el", "0 1\n2 3\n")
@@ -212,6 +214,13 @@ class TestEntryPoints:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert proc.stdout == '{"set":[0,1,2],"density":"1"}\n'
+
+    def test_cli_import_leaves_numpy_unloaded(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, densefw.cli; print('numpy' in sys.modules)"],
+            capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stdout == "False\n"
 
     def test_console_script(self, data_dir):
         exe = shutil.which("densefw")

@@ -161,7 +161,23 @@ class TestDeletionDecomposition:
             decompose_submodular_deletion(graphic_rank_fn(big_path_graph(22)))
 
 
+def vector_cases():
+    rng = random.Random(311)
+    named = [pytest.param(g, id=name) for name, g in canonical_graphs()]
+    return named + [
+        pytest.param(random_multigraph(rng, n_max=7, m_max=10), id=f"random{i}")
+        for i in range(8)
+    ]
+
+
 class TestDensityVector:
+    @pytest.mark.parametrize("g", vector_cases())
+    def test_decomposition_vector_is_density_vector(self, g):
+        fe = edge_count_fn(g)
+        assert decompose_supermodular(fe).vector(fe.ground) == density_vector(fe)
+        fr = graphic_rank_fn(g)
+        assert decompose_submodular_deletion(fr).vector(fr.ground) == density_vector(fr)
+
     def test_three_tier_values(self):
         b = density_vector(edge_count_fn(three_tier()))
         assert b.values == (Fraction(3, 2),) * 4 + (Fraction(4, 3),) * 3 + (Fraction(1),)

@@ -12,7 +12,6 @@ from densefw import (
     dualize,
     edge_count_fn,
     graphic_rank_fn,
-    marginal,
     nn_sum,
     restrict,
 )
@@ -107,7 +106,7 @@ class TestMarginal:
     def test_from_empty_is_singleton_value(self):
         f = edge_count_fn(star())
         for v in f.ground:
-            assert marginal(f, v, ()) == f.value({v})
+            assert f.marginal(v, ()) == f.value({v})
 
     def test_rank_saturates_on_spanning_subset(self):
         f = graphic_rank_fn(triangle())

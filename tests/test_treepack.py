@@ -20,11 +20,10 @@ from densefw import (
     AVERAGING,
     STANDARD,
     MultiGraph,
-    deletion_blocks,
+    decompose_submodular_deletion,
     frank_wolfe,
     fw_tree_pack,
     graphic_rank_fn,
-    greedy_tree_pack,
     harmonic_bound,
     ideal_loads,
     tnw_ideal_loads,
@@ -91,7 +90,7 @@ class TestStrength:
 
     def test_first_deletion_ratio_is_strength(self):
         for name, g in canonical_graphs():
-            assert deletion_blocks(g).densities[0] == tnw_strength(g), name
+            assert decompose_submodular_deletion(graphic_rank_fn(g)).densities[0] == tnw_strength(g), name
 
     def test_max_load_is_reciprocal_strength(self):
         for name, g in canonical_graphs():
@@ -125,17 +124,17 @@ class TestPartitionOracle:
 class TestGreedyPacking:
     def test_tree_instances_are_immediate_fixed_points(self):
         for g in (p3(), star()):
-            loads, trace = greedy_tree_pack(g, 4, exact=True)
+            loads, trace = fw_tree_pack(g, 4, exact=True)
             assert loads.values == (Fraction(1),) * g.m
             assert all(r.objective == float(g.n - 1) for r in trace.records)
 
     def test_triangle_rotates_to_exact_answer_in_three_trees(self):
-        loads, _ = greedy_tree_pack(triangle(), 3, exact=True)
+        loads, _ = fw_tree_pack(triangle(), 3, exact=True)
         assert loads.values == (Fraction(2, 3),) * 3
 
     def test_triangle_long_run_near_ideal(self):
         ref = ideal_loads(triangle())
-        loads, trace = greedy_tree_pack(triangle(), 10_000, ref=ref)
+        loads, trace = fw_tree_pack(triangle(), 10_000, ref=ref)
         assert trace.records[-1].dist_ref <= 0.02
         assert loads.distance(ref) <= 0.02
 
@@ -161,7 +160,7 @@ class TestGreedyPacking:
     def test_greedy_is_averaging_frank_wolfe(self):
         for g in (triangle(), tri_pendant(), k4()):
             ref = ideal_loads(g)
-            l1, t1 = greedy_tree_pack(g, 200, ref=ref)
+            l1, t1 = fw_tree_pack(g, 200, ref=ref)
             l2, t2 = fw_tree_pack(g, 200, schedule=AVERAGING, ref=ref)
             assert l1.values == l2.values
             assert len(t1.records) == len(t2.records)
@@ -183,11 +182,11 @@ class TestGreedyPacking:
         for g in (triangle(), tri_pendant(), k4()):
             opt = float(sum(v * v for v in ideal_loads(g).values))
             cap = 2 * g.m  # each load coordinate moves within [0, 1]
-            _, trace = greedy_tree_pack(g, 2000)
+            _, trace = fw_tree_pack(g, 2000)
             for rec in trace.records:
                 bound = float(harmonic_bound(rec.k, cap, 0))
                 assert rec.objective - opt <= bound + 1e-9
 
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraphError):
-            greedy_tree_pack(two_islands(), 5)
+            fw_tree_pack(two_islands(), 5)

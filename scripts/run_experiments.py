@@ -34,9 +34,11 @@ from densefw import (
     parse_edge_list,
     tnw_strength,
 )
+from densefw.setfn import ENUM_CAP
+from densefw.treepack import PARTITION_CAP
 
 REF_CAP = 12
-LOAD_CAP = 20
+LOAD_CAP = ENUM_CAP
 
 
 def load_instances(data_dir: Path):
@@ -80,7 +82,7 @@ def run_one(name, g, out_dir: Path, iters: int) -> dict:
             tr.write_csv(out_dir / f"{name}.treepack_{tag}.csv")
             if loads_ref is not None:
                 info[f"treepack_{tag}_final_dist"] = tr.records[-1].dist_ref
-        if g.n <= 10:
+        if g.n <= PARTITION_CAP:
             info["strength"] = str(tnw_strength(g))
         if loads_ref is not None:
             info["ideal_loads"] = {str(e): str(v) for e, v in

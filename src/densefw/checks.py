@@ -63,7 +63,7 @@ def run_instance_checks(g: MultiGraph, seed: int = 0) -> list[CheckResult]:
             all(back.value(s) == f_rank.value(s) for s in setfn.subsets(f_rank.ground)),
         )
 
-    if g.n <= 20:
+    if g.n <= setfn.ENUM_CAP:
         for trial in range(5):
             w = [rng.randint(0, 12) for _ in range(g.n)]
             d = polytope.lmo_contrapolymatroid(f_edges, w)
@@ -112,14 +112,14 @@ def run_instance_checks(g: MultiGraph, seed: int = 0) -> list[CheckResult]:
         dec = decomp.decompose_supermodular(f_edges)
         strictly = all(a > b for a, b in zip(dec.densities, dec.densities[1:]))
         add("contraction_densities_decrease", strictly)
-        bstar = decomp.density_vector(f_edges)
+        bstar = dec.vector(f_edges.ground)
         add("density_vector_is_base", polytope.verify_base(f_edges, bstar))
         if g.n <= 7:
             add("density_vector_certified", decomp.certify_lex_optimal(f_edges, bstar))
     if 1 <= g.m <= 9:
         add("decomposition_equivalence", decomp.verify_decomposition_equivalence(f_rank))
 
-    if is_connected(g) and g.n >= 2 and g.n <= 10 and g.m <= 20:
+    if is_connected(g) and 2 <= g.n <= treepack.PARTITION_CAP and g.m <= setfn.ENUM_CAP:
         ideal = treepack.ideal_loads(g)
         ref = treepack.tnw_ideal_loads(g)
         add("ideal_loads_match_partitions", ideal.values == ref.values)

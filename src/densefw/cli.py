@@ -58,7 +58,6 @@ def _build_parser() -> _Parser:
         sp.add_argument("--epsilon", type=float, default=None, help="early stop on distance to the exact optimum")
         sp.add_argument("--out", default=None, help="write the JSON result here instead of stdout")
         sp.add_argument("--trace", default=None, help="write a per-iteration CSV trace here")
-        sp.add_argument("--seed", type=int, default=None, help="reserved")
 
     sp = sub.add_parser("density", help="densest subgraph by exhaustive search")
     sp.add_argument("path")
@@ -166,7 +165,7 @@ def _cmd_supergreedypp(ns: argparse.Namespace, g: MultiGraph) -> int:
 
 def _cmd_treepack(ns: argparse.Namespace, g: MultiGraph) -> int:
     ref = None
-    if (ns.trace or ns.epsilon is not None) and g.m <= 20:
+    if (ns.trace or ns.epsilon is not None) and g.m <= setfn.ENUM_CAP:
         ref = treepack.ideal_loads(g)
     # greedy mode is Frank-Wolfe with averaging steps whatever --schedule says
     schedule = fw.schedule_from_name(ns.schedule) if ns.mode == "fw" else fw.AVERAGING

@@ -16,27 +16,21 @@ The density vector assigns every element the density of its block
 variant, so the values telescope to f(V)); it is the minimum-norm point of
 the base polytope and the unique lexicographically extreme base.
 
-Everything here enumerates subsets, so ground sets are capped at 20.
+Everything here enumerates subsets through `setfn.subsets`, so ground sets
+are capped at `setfn.ENUM_CAP` (20) elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
-from .errors import (
-    DegenerateDecompositionError,
-    GroundSetTooLargeError,
-    OracleFlagError,
-)
+from .errors import DegenerateDecompositionError, OracleFlagError
 from .polytope import BaseVector, enumerate_base_vertices
 from .setfn import SUBMODULAR, SUPERMODULAR, SetFunctionOracle, dualize, subsets
 
 CONTRACTION = "supermodular_contraction"
 DELETION = "submodular_deletion"
-
-_ENUM_CAP = 20
 
 
 @dataclass(frozen=True)
@@ -80,29 +74,17 @@ class DenseDecomposition:
         }
 
 
-def _check_cap(f: SetFunctionOracle):
-    if len(f.ground) > _ENUM_CAP:
-        raise GroundSetTooLargeError(
-            f"subset enumeration limited to {_ENUM_CAP} elements, got {len(f.ground)}"
-        )
-
-
-def densest_set_bruteforce(f: SetFunctionOracle) -> tuple[frozenset[int], Fraction]:
-    """Maximal maximizer of f(S)/|S| over nonempty S, by full enumeration.
-
-    The union of all maximizers is returned; supermodularity makes it a
-    maximizer itself, and that is re-checked so a mis-flagged oracle fails
-    loudly instead of silently.
-    """
-    if f.kind != SUPERMODULAR:
-        raise OracleFlagError("densest_set_bruteforce needs a supermodular oracle")
-    _check_cap(f)
+def _densest(f: SetFunctionOracle, remaining, acc: frozenset[int], f_acc) -> tuple[frozenset[int], Fraction]:
+    """Maximal maximizer of (f(S | acc) - f_acc) / |S| over nonempty S within
+    `remaining`, by full enumeration. The union of all maximizers is
+    returned; supermodularity makes it a maximizer itself, and that is
+    re-checked so a mis-flagged oracle fails loudly instead of silently."""
     best: Fraction | None = None
     union: set[int] = set()
-    for s in subsets(f.ground):
+    for s in subsets(remaining):
         if not s:
             continue
-        d = Fraction(f._eval(s), len(s))
+        d = Fraction(f._eval(s | acc) - f_acc, len(s))
         if best is None or d > best:
             best = d
             union = set(s)
@@ -110,9 +92,17 @@ def densest_set_bruteforce(f: SetFunctionOracle) -> tuple[frozenset[int], Fracti
             union |= s
     assert best is not None
     top = frozenset(union)
-    if Fraction(f._eval(top), len(top)) != best:
+    if Fraction(f._eval(top | acc) - f_acc, len(top)) != best:
         raise OracleFlagError("maximizers not closed under union; oracle is not supermodular")
     return top, best
+
+
+def densest_set_bruteforce(f: SetFunctionOracle) -> tuple[frozenset[int], Fraction]:
+    """Maximal maximizer of f(S)/|S| over nonempty S, by full enumeration;
+    it is the first block of `decompose_supermodular`."""
+    if f.kind != SUPERMODULAR:
+        raise OracleFlagError("densest_set_bruteforce needs a supermodular oracle")
+    return _densest(f, f.ground, frozenset(), 0)
 
 
 def decompose_supermodular(f: SetFunctionOracle) -> DenseDecomposition:
@@ -120,27 +110,13 @@ def decompose_supermodular(f: SetFunctionOracle) -> DenseDecomposition:
     contract, repeat. Densities strictly decrease."""
     if f.kind != SUPERMODULAR:
         raise OracleFlagError("decompose_supermodular needs a supermodular oracle")
-    _check_cap(f)
     remaining = tuple(f.ground)
     acc: frozenset[int] = frozenset()
     f_acc = f._eval(acc)
     blocks: list[tuple[int, ...]] = []
     densities: list[Fraction] = []
     while remaining:
-        best: Fraction | None = None
-        union: set[int] = set()
-        for s in subsets(remaining):
-            if not s:
-                continue
-            d = Fraction(f._eval(s | acc) - f_acc, len(s))
-            if best is None or d > best:
-                best = d
-                union = set(s)
-            elif d == best:
-                union |= s
-        top = frozenset(union)
-        if Fraction(f._eval(top | acc) - f_acc, len(top)) != best:
-            raise OracleFlagError("maximizers not closed under union; oracle is not supermodular")
+        top, best = _densest(f, remaining, acc, f_acc)
         if densities and best >= densities[-1]:
             raise OracleFlagError("block densities failed to decrease strictly")
         blocks.append(tuple(sorted(top)))
@@ -158,18 +134,18 @@ def decompose_submodular_deletion(f: SetFunctionOracle) -> DenseDecomposition:
         raise OracleFlagError("decompose_submodular_deletion needs a submodular oracle")
     if not (f.monotone and f.normalized):
         raise OracleFlagError("deletion decomposition needs a monotone, normalized oracle")
-    _check_cap(f)
-    for v in f.ground:
+    cur = tuple(f.ground)
+    scan = subsets(cur)  # raises above ENUM_CAP before any evaluation
+    for v in cur:
         if f._eval(frozenset([v])) <= 0:
             raise OracleFlagError(f"deletion decomposition needs f({{{v}}}) > 0")
-    cur = tuple(f.ground)
     f_cur = f._eval(frozenset(cur))
     blocks: list[tuple[int, ...]] = []
     ratios: list[Fraction] = []
     while cur:
         best: Fraction | None = None
         inter: set[int] | None = None
-        for s in subsets(cur):
+        for s in scan:
             if len(s) == len(cur):
                 continue
             fs = f._eval(s)
@@ -197,6 +173,7 @@ def decompose_submodular_deletion(f: SetFunctionOracle) -> DenseDecomposition:
         blocks.append(tuple(sorted(set(cur) - core)))
         ratios.append(best)
         cur = tuple(e for e in cur if e in core)
+        scan = subsets(cur)
         f_cur = f_core
     return DenseDecomposition(DELETION, tuple(blocks), tuple(ratios))
 

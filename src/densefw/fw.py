@@ -161,11 +161,17 @@ def frank_wolfe(
     return BaseVector(ground, tuple(x)), trace
 
 
+_HARMONIC = [Fraction(0)]  # exact H_0, H_1, ..., grown on demand
+
+
 def harmonic_number(n: int) -> Fraction:
-    """H_n as an exact rational (small n only; denominators grow fast)."""
+    """H_n as an exact rational, read from prefix sums that grow on demand
+    (small n only; denominators grow fast)."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return sum((Fraction(1, i) for i in range(1, n + 1)), Fraction(0))
+    while len(_HARMONIC) <= n:
+        _HARMONIC.append(_HARMONIC[-1] + Fraction(1, len(_HARMONIC)))
+    return _HARMONIC[n]
 
 
 def harmonic_numbers_float(upto: int) -> list[float]:

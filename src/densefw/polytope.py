@@ -135,11 +135,9 @@ def verify_base(f: SetFunctionOracle, x, tol=0) -> bool:
     Exact arithmetic: float inputs are converted to exact binary rationals.
     `tol` relaxes every constraint symmetrically for floating iterates.
     """
-    n = len(f.ground)
-    if n > 20:
-        raise GroundSetTooLargeError(f"verify_base limited to 20 elements, got {n}")
+    scan = subsets(f.ground)  # raises above ENUM_CAP before any arithmetic
     vals = x.values if isinstance(x, BaseVector) else tuple(x)
-    if len(vals) != n:
+    if len(vals) != len(f.ground):
         raise ValueError("vector length mismatch")
     q = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in vals]
     tol = tol if isinstance(tol, (int, Fraction)) else Fraction(tol)
@@ -151,7 +149,7 @@ def verify_base(f: SetFunctionOracle, x, tol=0) -> bool:
         return False
     sub = f.kind == SUBMODULAR
     x_of = dict(zip(f.ground, q))
-    for s in subsets(f.ground):
+    for s in scan:
         if not s:
             continue
         xs = sum(x_of[e] for e in s)

@@ -150,11 +150,16 @@ def nn_sum(a, f: SetFunctionOracle, b, g: SetFunctionOracle) -> SetFunctionOracl
     )
 
 
+ENUM_CAP = 20  # largest ground set any exhaustive subset scan accepts
+
+
 def subsets(elems: tuple[int, ...]):
     """Every subset of `elems` as a frozenset, lazily, by increasing size
-    (so the empty set comes first and `elems` itself last)."""
-    for r in range(len(elems) + 1):
-        yield from (frozenset(c) for c in combinations(elems, r))
+    (so the empty set comes first and `elems` itself last). Above ENUM_CAP
+    elements it raises when called, before the first subset is asked for."""
+    if len(elems) > ENUM_CAP:
+        raise GroundSetTooLargeError(f"subset enumeration limited to {ENUM_CAP} elements, got {len(elems)}")
+    return (frozenset(c) for r in range(len(elems) + 1) for c in combinations(elems, r))
 
 
 def check_kind(f: SetFunctionOracle, limit: int = 8) -> bool:

@@ -26,6 +26,8 @@ from .graph import MultiGraph, is_connected, minimum_spanning_tree
 from .polytope import BaseVector
 from .setfn import graphic_rank_fn
 
+PARTITION_CAP = 10  # largest vertex set the partition scans accept
+
 
 def _require_connected(g: MultiGraph):
     if not is_connected(g):
@@ -39,41 +41,54 @@ def ideal_loads(g: MultiGraph) -> BaseVector:
     i-th deletion block carry the reciprocal of that block's ratio.
     """
     _require_connected(g)
-    if g.m > 20:
-        raise GroundSetTooLargeError(f"ideal loads limited to 20 edges, got {g.m}")
     return density_vector(graphic_rank_fn(g))
 
 
 def _partitions(n: int):
-    """All set partitions of range(n) as tuples of blocks, via restricted
-    growth strings."""
-    code = [0] * n
-    maxes = [0] * n
-
-    def emit():
-        k = max(code) + 1
-        blocks: list[list[int]] = [[] for _ in range(k)]
-        for i, c in enumerate(code):
-            blocks[c].append(i)
-        return tuple(tuple(b) for b in blocks)
-
-    while True:
-        yield emit()
-        i = n - 1
-        while i > 0 and code[i] == maxes[i - 1] + 1:
-            i -= 1
-        if i == 0:
-            return
-        code[i] += 1
-        maxes[i] = max(maxes[i - 1], code[i])
-        for j in range(i + 1, n):
-            code[j] = 0
-            maxes[j] = maxes[i]
+    """Every set partition of range(n) as a tuple of sorted blocks: each
+    partition of range(n - 1) with n - 1 added to one of its blocks or
+    placed in a block of its own."""
+    if n == 0:
+        yield ()
+        return
+    last = n - 1
+    for parts in _partitions(last):
+        for i, block in enumerate(parts):
+            yield parts[:i] + (block + (last,),) + parts[i + 1 :]
+        yield parts + ((last,),)
 
 
-def _part_of(parts) -> dict[int, int]:
-    """Map each element to the index of its block."""
-    return {v: pi for pi, block in enumerate(parts) for v in block}
+def _min_partition(g: MultiGraph, edge_ids) -> tuple[Fraction, tuple, list[tuple[int, int]]]:
+    """Strength tau of the subgraph formed by `edge_ids`: the minimum of
+    crossing(P) / (|P| - 1) over the partitions P, with >= 2 parts, of the
+    vertices those edges touch. Returns tau, the finest minimizing partition
+    (of local vertex indices) and each edge's pair of block indices under
+    it. That partition is unique (refining two distinct minimizers would
+    beat both), which is asserted."""
+    verts = sorted({v for i in edge_ids for v in g.edges[i]})
+    if len(verts) > PARTITION_CAP:
+        raise GroundSetTooLargeError(f"partition enumeration limited to {PARTITION_CAP} vertices, got {len(verts)}")
+    local = {v: i for i, v in enumerate(verts)}
+    ends = [(local[g.edges[i][0]], local[g.edges[i][1]]) for i in edge_ids]
+    block_of = [0] * len(verts)
+    best = None  # (tau, -parts) of the finest minimizer so far
+    ties_at_best = 0
+    for parts in _partitions(len(verts)):
+        if len(parts) < 2:
+            continue
+        for b, part in enumerate(parts):
+            for v in part:
+                block_of[v] = b
+        crossing = sum(1 for u, v in ends if block_of[u] != block_of[v])
+        key = (Fraction(crossing, len(parts) - 1), -len(parts))
+        if best is None or key < best:
+            best, best_parts, ties_at_best = key, parts, 1
+        elif key == best:
+            ties_at_best += 1
+    assert best is not None
+    assert ties_at_best == 1, "finest minimizing partition should be unique"
+    block_of = {v: b for b, part in enumerate(best_parts) for v in part}
+    return best[0], best_parts, [(block_of[u], block_of[v]) for u, v in ends]
 
 
 def tnw_strength(g: MultiGraph) -> Fraction:
@@ -82,31 +97,13 @@ def tnw_strength(g: MultiGraph) -> Fraction:
     _require_connected(g)
     if g.n < 2:
         raise ValueError("strength needs at least two vertices")
-    if g.n > 10:
-        raise GroundSetTooLargeError(f"partition enumeration limited to 10 vertices, got {g.n}")
-    best: Fraction | None = None
-    for parts in _partitions(g.n):
-        if len(parts) < 2:
-            continue
-        part_of = _part_of(parts)
-        crossing = sum(1 for u, v in g.edges if part_of[u] != part_of[v])
-        ratio = Fraction(crossing, len(parts) - 1)
-        if best is None or ratio < best:
-            best = ratio
-    assert best is not None
-    return best
+    return _min_partition(g, range(g.m))[0]
 
 
 def tnw_ideal_loads(g: MultiGraph) -> BaseVector:
     """Independent ideal-load oracle: find the finest minimizing partition,
-    assign 1/tau to its crossing edges, recurse on each part.
-
-    Among minimizing partitions the one with the most parts is unique
-    (refining two distinct minimizers would beat both), which is asserted.
-    """
+    assign 1/tau to its crossing edges, recurse on each part."""
     _require_connected(g)
-    if g.n > 10:
-        raise GroundSetTooLargeError(f"partition enumeration limited to 10 vertices, got {g.n}")
     out: dict[int, Fraction] = {}
     _tnw_recurse(g, list(range(g.m)), out)
     return BaseVector(tuple(range(g.m)), tuple(out[i] for i in range(g.m)))
@@ -115,31 +112,10 @@ def tnw_ideal_loads(g: MultiGraph) -> BaseVector:
 def _tnw_recurse(g: MultiGraph, edge_ids: list[int], out: dict[int, Fraction]):
     if not edge_ids:
         return
-    verts = sorted({v for i in edge_ids for v in g.edges[i]})
-    local = {v: i for i, v in enumerate(verts)}
-    best: Fraction | None = None
-    best_parts = None
-    ties_at_best = 0
-    for parts in _partitions(len(verts)):
-        if len(parts) < 2:
-            continue
-        part_of = _part_of(parts)
-        crossing = sum(1 for i in edge_ids if part_of[local[g.edges[i][0]]] != part_of[local[g.edges[i][1]]])
-        ratio = Fraction(crossing, len(parts) - 1)
-        if best is None or ratio < best or (ratio == best and len(parts) > len(best_parts)):
-            best = ratio
-            best_parts = parts
-            ties_at_best = 1
-        elif ratio == best and len(parts) == len(best_parts):
-            ties_at_best += 1
-    assert best is not None and best_parts is not None
-    assert ties_at_best == 1, "finest minimizing partition should be unique"
-    load = 1 / best
-    part_of = _part_of(best_parts)
+    tau, _, ends = _min_partition(g, edge_ids)
+    load = 1 / tau
     groups: dict[int, list[int]] = {}
-    for i in edge_ids:
-        u, v = g.edges[i]
-        pu, pv = part_of[local[u]], part_of[local[v]]
+    for i, (pu, pv) in zip(edge_ids, ends):
         if pu != pv:
             out[i] = load
         else:

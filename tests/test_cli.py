@@ -207,6 +207,7 @@ class TestExitCodes:
         assert invoke(capsys, ["density"])[0] == 64
         assert invoke(capsys, ["density", str(data_dir / "triangle.el"), "--bogus"])[0] == 64
         assert invoke(capsys, [])[0] == 64
+        assert invoke(capsys, ["greedypp", "--seed", "1", str(data_dir / "triangle.el")])[0] == 64
 
 
 class TestEntryPoints:

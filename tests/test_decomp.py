@@ -172,6 +172,12 @@ def vector_cases():
 
 class TestDensityVector:
     @pytest.mark.parametrize("g", vector_cases())
+    def test_densest_set_is_first_contraction_block(self, g):
+        fe = edge_count_fn(g)
+        dec = decompose_supermodular(fe)
+        assert densest_set_bruteforce(fe) == (frozenset(dec.blocks[0]), dec.densities[0])
+
+    @pytest.mark.parametrize("g", vector_cases())
     def test_decomposition_vector_is_density_vector(self, g):
         fe = edge_count_fn(g)
         assert decompose_supermodular(fe).vector(fe.ground) == density_vector(fe)

@@ -184,6 +184,8 @@ class TestHarmonic:
         assert harmonic_number(3) == Fraction(11, 6)
         with pytest.raises(ValueError):
             harmonic_number(-1)
+        for n in range(60, -1, -1):
+            assert harmonic_number(n) == sum((Fraction(1, i) for i in range(1, n + 1)), Fraction(0))
 
     def test_float_table_matches(self):
         h = harmonic_numbers_float(30)

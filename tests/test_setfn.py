@@ -17,11 +17,13 @@ from densefw import (
 )
 from densefw.errors import GroundSetTooLargeError, OracleFlagError
 from densefw.setfn import (
+    ENUM_CAP,
     SUBMODULAR,
     SUPERMODULAR,
     check_kind,
     check_monotone,
     check_normalized,
+    subsets,
 )
 
 
@@ -208,6 +210,22 @@ class TestContractRestrictSum:
         g = triangle()
         with pytest.raises(OracleFlagError):
             nn_sum(1, edge_count_fn(g), 1, graphic_rank_fn(g))
+
+
+class TestSubsets:
+    def test_cap_raises_at_call_time(self):
+        with pytest.raises(GroundSetTooLargeError):
+            subsets(tuple(range(21)))
+
+    def test_at_cap_is_accepted(self):
+        assert ENUM_CAP == 20
+        subsets(tuple(range(20)))
+
+    def test_by_increasing_size(self):
+        got = list(subsets((0, 1, 2)))
+        assert len(got) == 8
+        assert set(got) == set(all_subsets((0, 1, 2)))
+        assert [len(s) for s in got] == sorted(len(s) for s in got)
 
 
 class TestExhaustiveChecks:

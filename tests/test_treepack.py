@@ -31,7 +31,7 @@ from densefw import (
     verify_base,
 )
 from densefw.errors import DisconnectedGraphError, GroundSetTooLargeError
-from densefw.treepack import _mst_lmo
+from densefw.treepack import _mst_lmo, _partitions
 
 
 def cycle(n):
@@ -106,6 +106,16 @@ class TestStrength:
 
 
 class TestPartitionOracle:
+    @pytest.mark.parametrize("n,bell", [(1, 1), (2, 2), (3, 5), (4, 15), (5, 52), (6, 203), (7, 877), (8, 4140)])
+    def test_partitions_are_the_bell_number_of_set_partitions(self, n, bell):
+        seen = set()
+        for parts in _partitions(n):
+            assert all(list(b) == sorted(b) and b for b in parts)
+            assert sorted(v for b in parts for v in b) == list(range(n))
+            seen.add(frozenset(frozenset(b) for b in parts))
+        assert len(seen) == bell
+        assert sum(1 for _ in _partitions(n)) == bell
+
     def test_matches_rank_decomposition_on_named_instances(self):
         for name, g in canonical_graphs():
             assert tnw_ideal_loads(g).values == ideal_loads(g).values, name

@@ -89,9 +89,8 @@ def run_instance_checks(g: MultiGraph, seed: int = 0) -> list[CheckResult]:
         loads = integral_orientation_loads(g)
         distinct = set(loads)
         add("orientation_loads_are_bases", all(polytope.verify_base(f_edges, row) for row in distinct))
-        if g.n <= 6:
-            verts = {v.values for v in polytope.enumerate_base_vertices(f_edges, limit=6)}
-            add("vertices_are_orientations", all(v in distinct for v in verts))
+        if g.n <= 6:  # verts was enumerated above
+            add("vertices_are_orientations", all(v.values in distinct for v in verts))
         lo, hi = fw.curvature_bounds(g)
         wit = curvature_witness(g)
         add("curvature_bracket", lo <= wit <= hi, f"2m={lo} witness={wit} cap={hi}")
@@ -121,10 +120,9 @@ def run_instance_checks(g: MultiGraph, seed: int = 0) -> list[CheckResult]:
 
     if is_connected(g) and 2 <= g.n <= treepack.PARTITION_CAP and g.m <= setfn.ENUM_CAP:
         ideal = treepack.ideal_loads(g)
-        ref = treepack.tnw_ideal_loads(g)
+        tau, ref = treepack._strength_and_ideal_loads(g)
         add("ideal_loads_match_partitions", ideal.values == ref.values)
         add("ideal_loads_are_base", polytope.verify_base(f_rank, ideal))
-        one_over_tau = 1 / treepack.tnw_strength(g)
-        add("max_load_is_inv_strength", max(ideal.values) == one_over_tau)
+        add("max_load_is_inv_strength", max(ideal.values) == 1 / tau)
     return out
 

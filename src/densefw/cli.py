@@ -110,9 +110,10 @@ def _load_graph(path: str) -> MultiGraph:
         return parse_edge_list(fh.read())
 
 
-def _edge_ref(g: MultiGraph):
-    if g.n <= _REF_SIZE_CAP:
-        return decomp.density_vector(setfn.edge_count_fn(g))
+def _ref(ns: argparse.Namespace, f: setfn.SetFunctionOracle):
+    """density_vector(f) if --trace/--epsilon wants it and f fits _REF_SIZE_CAP."""
+    if (ns.trace or ns.epsilon is not None) and len(f.ground) <= _REF_SIZE_CAP:
+        return decomp.density_vector(f)
     return None
 
 
@@ -142,8 +143,7 @@ def _run_trace(ns: argparse.Namespace, trace) -> None:
 
 
 def _cmd_greedypp(ns: argparse.Namespace, g: MultiGraph) -> int:
-    ref = _edge_ref(g) if (ns.trace or ns.epsilon is not None) else None
-    res = peel.greedy_pp(g, ns.iters, ref=ref, stop_dist=ns.epsilon)
+    res = peel.greedy_pp(g, ns.iters, ref=_ref(ns, setfn.edge_count_fn(g)), stop_dist=ns.epsilon)
     _run_trace(ns, res.trace)
     _emit(res.to_json_dict(), ns.out)
     return EXIT_OK
@@ -154,10 +154,7 @@ def _cmd_supergreedypp(ns: argparse.Namespace, g: MultiGraph) -> int:
         f = setfn.edge_count_fn(g)
     else:
         f = setfn.dualize(setfn.graphic_rank_fn(g))
-    ref = None
-    if (ns.trace or ns.epsilon is not None) and len(f.ground) <= _REF_SIZE_CAP:
-        ref = decomp.density_vector(f)
-    res = peel.supergreedy_pp(f, ns.iters, ref=ref, stop_dist=ns.epsilon)
+    res = peel.supergreedy_pp(f, ns.iters, ref=_ref(ns, f), stop_dist=ns.epsilon)
     _run_trace(ns, res.trace)
     _emit(res.to_json_dict(), ns.out)
     return EXIT_OK
@@ -189,13 +186,12 @@ def _cmd_idealloads(ns: argparse.Namespace, g: MultiGraph) -> int:
 
 def _cmd_fw_qp(ns: argparse.Namespace, g: MultiGraph) -> int:
     lmo = lambda w: polytope.optimal_orientation(g, w)[1]
-    ref = _edge_ref(g) if (ns.trace or ns.epsilon is not None) else None
     x, trace = fw.frank_wolfe(
         lmo,
         ground=tuple(range(g.n)),
         schedule=fw.schedule_from_name(ns.schedule),
         iterations=ns.iters,
-        ref=ref,
+        ref=_ref(ns, setfn.edge_count_fn(g)),
         exact=ns.exact,
         stop_dist=ns.epsilon,
     )

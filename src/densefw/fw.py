@@ -115,32 +115,23 @@ def frank_wolfe(
         x0 = lmo([0] * len(ground))
     else:
         ground = tuple(x0.ground)
-    n = len(ground)
     refv = None if ref is None else [float(r) for r in (ref.values if isinstance(ref, BaseVector) else ref)]
 
-    if exact:
-        x = [Fraction(v) for v in x0.values]
-    else:
-        x = [float(v) for v in x0.values]
+    conv = Fraction if exact else float
+    x = [conv(v) for v in x0.values]
     total = None  # running sum of LMO answers (averaging schedule)
     trace = ConvergenceTrace()
     averaging = schedule.variant == "averaging"
 
     for it in range(1, iterations + 1):
         gamma = schedule.gamma(it - 1)
-        d = lmo(x).values
-        if exact:
-            d = [Fraction(v) for v in d]
-            one = Fraction(1)
-        else:
-            d = [float(v) for v in d]
-            one = 1.0
+        d = [conv(v) for v in lmo(x).values]
         if averaging:
             total = list(d) if total is None else [t + dv for t, dv in zip(total, d)]
             x = [t / it for t in total]
         else:
-            g = gamma if exact else float(gamma)
-            x = [(one - g) * xv + g * dv for xv, dv in zip(x, d)]
+            g = conv(gamma)
+            x = [(1 - g) * xv + g * dv for xv, dv in zip(x, d)]
         if not exact and not all(math.isfinite(v) for v in x):
             raise NumericalError(f"non-finite iterate at iteration {it}")
         objective = sum(v * v for v in x)

@@ -15,6 +15,8 @@ from typing import Iterable, Sequence
 
 from .errors import DisconnectedGraphError, GraphParseError
 
+VERTEX_CAP = 10**6  # largest vertex id parse_edge_list accepts
+
 
 @dataclass(frozen=True)
 class MultiGraph:
@@ -86,9 +88,9 @@ def parse_edge_list(text: str) -> MultiGraph:
     """Parse whitespace-separated "u v" lines into a MultiGraph.
 
     Lines starting with '#' and blank lines are skipped. Vertex ids are
-    nonnegative integers; the vertex set is 0..max-id, so ids that never
-    appear still exist as isolated vertices. Errors carry the offending
-    1-based line number.
+    nonnegative integers up to VERTEX_CAP; the vertex set is 0..max-id, so
+    ids that never appear still exist as isolated vertices. Errors carry the
+    offending 1-based line number.
     """
     edges: list[tuple[int, int]] = []
     max_id = -1
@@ -105,6 +107,8 @@ def parse_edge_list(text: str) -> MultiGraph:
             raise GraphParseError(f"non-integer vertex id in {line!r}", lineno) from None
         if u < 0 or v < 0:
             raise GraphParseError(f"negative vertex id in {line!r}", lineno)
+        if u > VERTEX_CAP or v > VERTEX_CAP:
+            raise GraphParseError(f"vertex id above {VERTEX_CAP} in {line!r}", lineno)
         if u == v:
             raise GraphParseError(f"self-loop at vertex {u}", lineno)
         edges.append((u, v))

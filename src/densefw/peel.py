@@ -79,6 +79,12 @@ def weighted_supergreedy(f: SetFunctionOracle, w: Sequence) -> PeelResult:
     """Peel argmin w(u) + f(u | rest) from a supermodular oracle; the final
     element records f of its own singleton. Marginals are recomputed each
     round, so this is O(n^2) oracle calls."""
+    return _supergreedy(f, w, {(1 << len(f.ground)) - 1: f._eval(f.ground_set)})
+
+
+def _supergreedy(f: SetFunctionOracle, w: Sequence, cache: dict) -> PeelResult:
+    """weighted_supergreedy with f's values kept in `cache` (seeded with f of
+    the ground set), keyed by bitmask over positions in f.ground."""
     if f.kind != "supermodular":
         raise ValueError("weighted_supergreedy needs a supermodular oracle")
     ground = list(f.ground)
@@ -86,30 +92,34 @@ def weighted_supergreedy(f: SetFunctionOracle, w: Sequence) -> PeelResult:
     if len(w) != n:
         raise ValueError(f"expected {n} weights, got {len(w)}")
     pos = {e: i for i, e in enumerate(ground)}
-    remaining = set(ground)
+    cur = frozenset(ground)
+    mask = (1 << n) - 1
     order: list[int] = []
     dhat: list = [0] * n
     densities: list[Fraction] = []
-    while remaining:
-        cur = frozenset(remaining)
-        fcur = f._eval(cur)
+    while cur:
+        fcur = cache[mask]  # the full set, or the set the last round kept
         densities.append(Fraction(fcur, len(cur)))
-        if len(remaining) == 1:
-            u = next(iter(remaining))
+        if len(cur) == 1:
+            u = next(iter(cur))
             order.append(u)
             dhat[pos[u]] = fcur  # f({u}): keeps the totals at f(V)
             break
         best_key = None
         best_u = None
         best_marg = None
-        for u in sorted(remaining):
-            marg = fcur - f._eval(cur - {u})
+        for u in sorted(cur):
+            rest = mask ^ (1 << pos[u])
+            if rest not in cache:
+                cache[rest] = f._eval(cur - {u})
+            marg = fcur - cache[rest]
             key = (w[pos[u]] + marg, u)
             if best_key is None or key < best_key:
                 best_key, best_u, best_marg = key, u, marg
         order.append(best_u)
         dhat[pos[best_u]] = best_marg
-        remaining.remove(best_u)
+        cur -= {best_u}
+        mask ^= 1 << pos[best_u]
     return PeelResult(tuple(order), BaseVector(tuple(ground), tuple(dhat)), tuple(densities))
 
 
@@ -208,11 +218,14 @@ def supergreedy_pp(
     stop_dist: Optional[float] = None,
     keep_b_trace: bool = False,
 ) -> GreedyPPResult:
-    """Iterated supermodular peeling with cumulative rational weights."""
+    """Iterated supermodular peeling with cumulative rational weights; one
+    value cache serves the whole run, as rounds repeat sets once the order settles."""
+    full = (1 << len(f.ground)) - 1
+    cache = {full: f._eval(f.ground_set)}
     return _iterated_peel(
         f.ground,
-        lambda w: weighted_supergreedy(f, w),
-        f._eval(f.ground_set),
+        lambda w: _supergreedy(f, w, cache),
+        cache[full],
         iterations,
         ref,
         stop_dist,

@@ -5,6 +5,9 @@ An oracle carries its ground set, an evaluation callable, a declared kind
 declarations: constructors set them from what they know, and the exhaustive
 checkers below verify them on small ground sets in tests. All values are
 ints or fractions.Fraction; nothing in this module touches floats.
+
+Oracles hold no state: a value is a pure function of its frozenset
+argument, so exhaustive scans over an oracle run in constant memory.
 """
 
 from __future__ import annotations
@@ -58,18 +61,6 @@ class SetFunctionOracle:
         return self._eval(s | {v}) - self._eval(s)
 
 
-def _cached(fn: Callable[[frozenset[int]], Fraction | int]):
-    cache: dict[frozenset[int], Fraction | int] = {}
-
-    def wrapped(s: frozenset[int]):
-        hit = cache.get(s)
-        if hit is None and s not in cache:
-            hit = cache[s] = fn(s)
-        return hit
-
-    return wrapped
-
-
 def edge_count_fn(g: MultiGraph) -> SetFunctionOracle:
     """f(S) = number of edges with both endpoints in S. Supermodular,
     normalized, monotone; ground set is the vertex set."""
@@ -78,7 +69,7 @@ def edge_count_fn(g: MultiGraph) -> SetFunctionOracle:
     def ev(s: frozenset[int]) -> int:
         return sum(1 for u, v in edges if u in s and v in s)
 
-    return SetFunctionOracle(tuple(range(g.n)), SUPERMODULAR, True, True, _cached(ev))
+    return SetFunctionOracle(tuple(range(g.n)), SUPERMODULAR, True, True, ev)
 
 
 def graphic_rank_fn(g: MultiGraph) -> SetFunctionOracle:
@@ -89,7 +80,7 @@ def graphic_rank_fn(g: MultiGraph) -> SetFunctionOracle:
     def ev(s: frozenset[int]) -> int:
         return n - components(g, s)
 
-    return SetFunctionOracle(tuple(range(g.m)), SUBMODULAR, True, True, _cached(ev))
+    return SetFunctionOracle(tuple(range(g.m)), SUBMODULAR, True, True, ev)
 
 
 def dualize(f: SetFunctionOracle) -> SetFunctionOracle:

@@ -103,15 +103,20 @@ def tnw_strength(g: MultiGraph) -> Fraction:
 def tnw_ideal_loads(g: MultiGraph) -> BaseVector:
     """Independent ideal-load oracle: find the finest minimizing partition,
     assign 1/tau to its crossing edges, recurse on each part."""
+    return _strength_and_ideal_loads(g)[1]
+
+
+def _strength_and_ideal_loads(g: MultiGraph) -> tuple[Optional[Fraction], BaseVector]:
+    """tnw_ideal_loads and the strength tau(G) its first scan found (None without edges)."""
     _require_connected(g)
     out: dict[int, Fraction] = {}
-    _tnw_recurse(g, list(range(g.m)), out)
-    return BaseVector(tuple(range(g.m)), tuple(out[i] for i in range(g.m)))
+    tau = _tnw_recurse(g, list(range(g.m)), out)
+    return tau, BaseVector(tuple(range(g.m)), tuple(out[i] for i in range(g.m)))
 
 
-def _tnw_recurse(g: MultiGraph, edge_ids: list[int], out: dict[int, Fraction]):
+def _tnw_recurse(g: MultiGraph, edge_ids: list[int], out: dict[int, Fraction]) -> Optional[Fraction]:
     if not edge_ids:
-        return
+        return None
     tau, _, ends = _min_partition(g, edge_ids)
     load = 1 / tau
     groups: dict[int, list[int]] = {}
@@ -122,6 +127,7 @@ def _tnw_recurse(g: MultiGraph, edge_ids: list[int], out: dict[int, Fraction]):
             groups.setdefault(pu, []).append(i)
     for sub in groups.values():
         _tnw_recurse(g, sub, out)
+    return tau
 
 
 def _mst_lmo(g: MultiGraph):

@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -173,6 +174,23 @@ class TestExitCodes:
     def test_self_loop(self, capsys, tmp_path):
         path = write_graph(tmp_path, "loop.el", "0 0\n")
         assert invoke(capsys, ["density", path])[0] == 2
+
+    @pytest.mark.parametrize("command", ["density", "greedypp", "verify"])
+    def test_huge_vertex_id(self, tmp_path, command):
+        """Ids are checked against graph.VERTEX_CAP before any n-sized array
+        is built, so a huge id is one error line, not a MemoryError. The
+        child runs under a 1 GiB address-space limit, so a regression fails
+        here instead of exhausting memory."""
+        path = write_graph(tmp_path, "huge.el", "0 300000000\n")
+        limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        proc = subprocess.run(
+            [sys.executable, "-m", "densefw", command, path],
+            capture_output=True, text=True, preexec_fn=limit)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("error: line 1:")
+        assert "Traceback" not in proc.stderr
 
     def test_bad_iteration_count(self, capsys, data_dir):
         code, _, err = invoke(

@@ -1,6 +1,7 @@
 """Exact decompositions, density vectors, and optimality certificates."""
 
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -73,6 +74,17 @@ class TestDensestSet:
     def test_size_cap(self):
         with pytest.raises(GroundSetTooLargeError):
             densest_set_bruteforce(edge_count_fn(big_path_graph()))
+
+    def test_scan_runs_in_constant_memory(self):
+        """The oracle remembers none of the 2^16 subsets the scan asks for."""
+        tracemalloc.start()
+        try:
+            s, d = densest_set_bruteforce(edge_count_fn(big_path_graph(16)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (s, d) == (frozenset(range(16)), Fraction(15, 16))
+        assert peak < 2 * 2**20
 
     def test_misdeclared_oracle_fails_loudly(self):
         rank_as_super = SetFunctionOracle(

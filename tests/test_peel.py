@@ -212,6 +212,18 @@ class TestSupergreedyPP:
         assert res.best_density == Fraction(3, 2)
         assert res.best_set == frozenset({0, 1, 2, 3})
 
+    def test_run_asks_the_oracle_for_each_set_once(self):
+        """Repeated rounds are served from the run's own cache, even for an
+        oracle that remembers nothing itself."""
+        edges = edge_count_fn(three_tier())
+        asked = []
+        f = SetFunctionOracle(
+            edges.ground, SUPERMODULAR, True, True, lambda s: asked.append(s) or edges._eval(s))
+        res = supergreedy_pp(f, 6)
+        assert res.iterations == 6
+        assert res.loads == greedy_pp(three_tier(), 6).loads
+        assert len(asked) == len(set(asked))
+
     def test_converges_to_density_vector(self):
         f = edge_count_fn(tri_pendant())
         ref = density_vector(f)

@@ -88,7 +88,8 @@ def run_instance_checks(g: MultiGraph, seed: int = 0) -> list[CheckResult]:
     if g.m <= 10:
         loads = integral_orientation_loads(g)
         distinct = set(loads)
-        add("orientation_loads_are_bases", all(polytope.verify_base(f_edges, row) for row in distinct))
+        if g.n <= setfn.ENUM_CAP:  # verify_base scans all 2^n vertex subsets
+            add("orientation_loads_are_bases", all(polytope.verify_base(f_edges, row) for row in distinct))
         if g.n <= 6:  # verts was enumerated above
             add("vertices_are_orientations", all(v.values in distinct for v in verts))
         lo, hi = fw.curvature_bounds(g)

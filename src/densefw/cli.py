@@ -247,7 +247,7 @@ def run(argv: Optional[list[str]] = None) -> int:
         return EXIT_INPUT
     try:
         return _COMMANDS[ns.command](ns, _load_graph(ns.path))
-    except (GraphParseError, OSError) as e:
+    except (GraphParseError, OSError, UnicodeDecodeError) as e:  # the last is a ValueError: not exit 3
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except (

@@ -11,8 +11,9 @@ recorded marginals still telescope to f(V).
 greedy_pp / supergreedy_pp iterate the peel with cumulative weights: after
 k rounds the cumulative load vector w_k equals k * b^(k), where b^(k) is
 the averaging-schedule Frank-Wolfe iterate driven by this noisy oracle.
-The best suffix density seen anywhere (including the full set, and the
-first round is plain unweighted peeling) is tracked exactly.
+The marginals telescope (dhat summed over a suffix of the order is f of that
+suffix), and the best suffix density seen anywhere (including the full set;
+the first round is plain unweighted peeling) is tracked exactly.
 """
 
 from __future__ import annotations
@@ -23,21 +24,22 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .errors import GroundSetTooLargeError
 from .fw import ConvergenceTrace, TraceRecord
 from .graph import MultiGraph
 from .polytope import BaseVector
 from .setfn import SetFunctionOracle
 
+SUPERGREEDY_CAP = 200  # largest ground set Super-Greedy++ accepts: one round makes O(n^2) oracle calls
+
 
 @dataclass(frozen=True)
 class PeelResult:
-    """One peeling pass: removal order, recorded marginals (a base vector),
-    and the exact density of every suffix of the order (the first suffix is
-    the whole ground set)."""
+    """One peeling pass: removal order and recorded marginals (a base
+    vector); dhat summed over order[i:] is f of that suffix."""
 
     order: tuple[int, ...]
     dhat: BaseVector
-    suffix_densities: tuple[Fraction, ...]
 
 
 def weighted_greedy(g: MultiGraph, w: Sequence) -> PeelResult:
@@ -56,50 +58,49 @@ def weighted_greedy(g: MultiGraph, w: Sequence) -> PeelResult:
     heapq.heapify(heap)
     order: list[int] = []
     dhat: list[int] = [0] * n
-    densities: list[Fraction] = []
-    edges_left = g.m
-    for step in range(n):
+    for _ in range(n):
         while True:
             _, u, du = heapq.heappop(heap)
             if alive[u] and du == deg[u]:
                 break
-        densities.append(Fraction(edges_left, n - step))
         order.append(u)
         dhat[u] = deg[u]
         alive[u] = False
-        edges_left -= deg[u]
         for x in adj[u]:
             if alive[x]:
                 deg[x] -= 1
                 heapq.heappush(heap, (w[x] + deg[x], x, deg[x]))
-    return PeelResult(tuple(order), BaseVector(tuple(range(n)), tuple(dhat)), tuple(densities))
+    return PeelResult(tuple(order), BaseVector(tuple(range(n)), tuple(dhat)))
 
 
 def weighted_supergreedy(f: SetFunctionOracle, w: Sequence) -> PeelResult:
     """Peel argmin w(u) + f(u | rest) from a supermodular oracle; the final
     element records f of its own singleton. Marginals are recomputed each
-    round, so this is O(n^2) oracle calls."""
-    return _supergreedy(f, w, {(1 << len(f.ground)) - 1: f._eval(f.ground_set)})
+    round, so this is O(n^2) oracle calls; ground sets above SUPERGREEDY_CAP
+    raise GroundSetTooLargeError before the first one."""
+    return _supergreedy(f, w, {})
 
 
 def _supergreedy(f: SetFunctionOracle, w: Sequence, cache: dict) -> PeelResult:
-    """weighted_supergreedy with f's values kept in `cache` (seeded with f of
-    the ground set), keyed by bitmask over positions in f.ground."""
+    """weighted_supergreedy with f's values kept in `cache`, keyed by
+    bitmask over positions in f.ground."""
     if f.kind != "supermodular":
         raise ValueError("weighted_supergreedy needs a supermodular oracle")
     ground = list(f.ground)
     n = len(ground)
+    if n > SUPERGREEDY_CAP:
+        raise GroundSetTooLargeError(f"supermodular peeling limited to {SUPERGREEDY_CAP} elements, got {n}")
     if len(w) != n:
         raise ValueError(f"expected {n} weights, got {len(w)}")
     pos = {e: i for i, e in enumerate(ground)}
     cur = frozenset(ground)
     mask = (1 << n) - 1
+    if mask not in cache:
+        cache[mask] = f._eval(cur)
     order: list[int] = []
     dhat: list = [0] * n
-    densities: list[Fraction] = []
     while cur:
         fcur = cache[mask]  # the full set, or the set the last round kept
-        densities.append(Fraction(fcur, len(cur)))
         if len(cur) == 1:
             u = next(iter(cur))
             order.append(u)
@@ -120,7 +121,7 @@ def _supergreedy(f: SetFunctionOracle, w: Sequence, cache: dict) -> PeelResult:
         dhat[pos[best_u]] = best_marg
         cur -= {best_u}
         mask ^= 1 << pos[best_u]
-    return PeelResult(tuple(order), BaseVector(tuple(ground), tuple(dhat)), tuple(densities))
+    return PeelResult(tuple(order), BaseVector(tuple(ground), tuple(dhat)))
 
 
 @dataclass
@@ -129,8 +130,8 @@ class GreedyPPResult:
 
     best_set/best_density: densest suffix seen anywhere, exact arithmetic,
     first strict improvement wins ties. loads: final cumulative marginal
-    vector (equals iterations * b^(final) exactly). b_trace: per-iteration
-    averaged vectors as exact rationals, retained only on request.
+    vector (equals iterations * b^(final) exactly). With keep_iterates, each
+    trace record's `iterate` holds b^(k) = loads_k / k as exact rationals.
     """
 
     best_set: frozenset[int]
@@ -138,7 +139,6 @@ class GreedyPPResult:
     loads: tuple
     iterations: int
     trace: ConvergenceTrace
-    b_trace: Optional[list[BaseVector]] = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -151,43 +151,44 @@ class GreedyPPResult:
 def _iterated_peel(
     ground: tuple[int, ...],
     peel_once,
-    full_value,
     iterations: int,
     ref,
     stop_dist,
-    keep_b_trace: bool,
+    keep_iterates: bool,
 ) -> GreedyPPResult:
     n = len(ground)
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     w: list = [0] * n
     pos = {e: i for i, e in enumerate(ground)}
-    best_density = Fraction(full_value, n)
-    best_set = frozenset(ground)
     refv = None if ref is None else [float(v) for v in (ref.values if isinstance(ref, BaseVector) else ref)]
     trace = ConvergenceTrace()
-    b_trace: Optional[list[BaseVector]] = [] if keep_b_trace else None
-    done = 0
     for k in range(1, iterations + 1):
         pr = peel_once(w)
-        for e, d in zip(pr.dhat.ground, pr.dhat.values):
-            w[pos[e]] += d
-        for i, dens in enumerate(pr.suffix_densities):
-            if dens > best_density:
-                best_density = dens
-                best_set = frozenset(pr.order[i:])
+        dhat = pr.dhat.values  # aligned with ground
+        w = [a + d for a, d in zip(w, dhat)]
+        left = sum(dhat)  # f(ground), as the marginals telescope
+        if k == 1:
+            best_density, best_set = Fraction(left, n), frozenset(ground)
+        # left is f(order[i:]); compare left/(n-i) with the best by cross-multiplying
+        best_i = None
+        for i, u in enumerate(pr.order):
+            if left * best_density.denominator > best_density.numerator * (n - i):
+                best_density = Fraction(left, n - i)
+                best_i = i
+            left -= dhat[pos[u]]
+        if best_i is not None:
+            best_set = frozenset(pr.order[best_i:])
         num = sum(v * v for v in w)
         objective = num / (k * k) if isinstance(num, int) else float(num) / (k * k)
         dist = None
         if refv is not None:
             dist = math.sqrt(sum((float(v) / k - r) ** 2 for v, r in zip(w, refv)))
-        trace.records.append(TraceRecord(k=k, objective=float(objective), gamma=1.0 / k, dist_ref=dist))
-        if b_trace is not None:
-            b_trace.append(BaseVector(ground, tuple(Fraction(v, k) if isinstance(v, int) else v / k for v in w)))
-        done = k
+        iterate = tuple(Fraction(v, k) if isinstance(v, int) else v / k for v in w) if keep_iterates else None
+        trace.records.append(TraceRecord(k=k, objective=float(objective), gamma=1.0 / k, dist_ref=dist, iterate=iterate))
         if stop_dist is not None and dist is not None and dist <= stop_dist:
             break
-    return GreedyPPResult(best_set, best_density, tuple(w), done, trace, b_trace)
+    return GreedyPPResult(best_set, best_density, tuple(w), len(trace.records), trace)
 
 
 def greedy_pp(
@@ -195,7 +196,7 @@ def greedy_pp(
     iterations: int,
     ref=None,
     stop_dist: Optional[float] = None,
-    keep_b_trace: bool = False,
+    keep_iterates: bool = False,
 ) -> GreedyPPResult:
     """Iterated degree peeling with cumulative integer weights. One
     iteration is plain unweighted peeling; the densest suffix across all
@@ -203,11 +204,10 @@ def greedy_pp(
     return _iterated_peel(
         tuple(range(g.n)),
         lambda w: weighted_greedy(g, w),
-        g.m,
         iterations,
         ref,
         stop_dist,
-        keep_b_trace,
+        keep_iterates,
     )
 
 
@@ -216,18 +216,16 @@ def supergreedy_pp(
     iterations: int,
     ref=None,
     stop_dist: Optional[float] = None,
-    keep_b_trace: bool = False,
+    keep_iterates: bool = False,
 ) -> GreedyPPResult:
     """Iterated supermodular peeling with cumulative rational weights; one
     value cache serves the whole run, as rounds repeat sets once the order settles."""
-    full = (1 << len(f.ground)) - 1
-    cache = {full: f._eval(f.ground_set)}
+    cache: dict = {}
     return _iterated_peel(
         f.ground,
         lambda w: _supergreedy(f, w, cache),
-        cache[full],
         iterations,
         ref,
         stop_dist,
-        keep_b_trace,
+        keep_iterates,
     )

@@ -58,6 +58,16 @@ class TestRunInstanceChecks:
         assert "max_load_is_inv_strength" not in names
         assert all(r.ok for r in results)
 
+    def test_sparse_graph_above_enumeration_cap(self):
+        """Orientations of a few edges are cheap, but checking each against
+        the base polytope scans 2^n vertex subsets: above ENUM_CAP the base
+        check is skipped and the curvature bracket still runs."""
+        results = run_instance_checks(MultiGraph(22, ((0, 21),)))
+        names = [r.name for r in results]
+        assert "orientation_loads_are_bases" not in names
+        assert "curvature_bracket" in names
+        assert all(r.ok for r in results)
+
     def test_results_are_deterministic_for_a_seed(self):
         a = run_instance_checks(triangle(), seed=7)
         b = run_instance_checks(triangle(), seed=7)

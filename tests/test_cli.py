@@ -6,11 +6,15 @@ import resource
 import shutil
 import subprocess
 import sys
+import time
 import venv
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from densefw.cli import run
+from densefw.peel import SUPERGREEDY_CAP
 
 
 def invoke(capsys, argv):
@@ -171,6 +175,17 @@ class TestExitCodes:
         assert code == 2
         assert "line 2" in err
 
+    def test_undecodable_input(self, capsys, tmp_path):
+        """Bytes that are not UTF-8 are malformed input, not an infeasible
+        request, although the decoder's error is a ValueError."""
+        path = tmp_path / "utf16.el"
+        path.write_bytes("0 1\n".encode("utf-16"))
+        code, out, err = invoke(capsys, ["density", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith("error: ")
+
     def test_self_loop(self, capsys, tmp_path):
         path = write_graph(tmp_path, "loop.el", "0 0\n")
         assert invoke(capsys, ["density", path])[0] == 2
@@ -215,6 +230,18 @@ class TestExitCodes:
         path = write_graph(tmp_path, "path21.el", text)
         assert invoke(capsys, ["density", path])[0] == 3
 
+    def test_supergreedy_ground_set_cap(self, capsys, tmp_path):
+        """A 10-byte file with a huge id has a ground set of 10^6 + 1
+        vertices; Super-Greedy++ refuses it before its first oracle call
+        instead of running O(n^2) calls per round."""
+        path = write_graph(tmp_path, "sparse.el", "0 1000000\n")
+        start = time.perf_counter()
+        code, out, err = invoke(capsys, ["supergreedypp", "--iters", "1", path])
+        assert time.perf_counter() - start < 10
+        assert code == 3
+        assert out == ""
+        assert err == f"error: supermodular peeling limited to {SUPERGREEDY_CAP} elements, got 1000001\n"
+
     def test_exact_iteration_cap(self, capsys, data_dir):
         code, _, _ = invoke(capsys, [
             "fw-qp", "--exact", "--iters", "25", str(data_dir / "triangle.el")])
@@ -226,6 +253,60 @@ class TestExitCodes:
         assert invoke(capsys, ["density", str(data_dir / "triangle.el"), "--bogus"])[0] == 64
         assert invoke(capsys, [])[0] == 64
         assert invoke(capsys, ["greedypp", "--seed", "1", str(data_dir / "triangle.el")])[0] == 64
+
+
+_ID = st.integers(0, 8)
+_EDGE = st.tuples(_ID, _ID).filter(lambda e: e[0] != e[1]).map("{0[0]} {0[1]}".format)
+_NOISE = st.one_of(st.sampled_from(["# comment", "", "0 0", "1 x", "-1 2"]), st.text(max_size=6))
+
+
+@st.composite
+def _fuzz_files(draw) -> bytes:
+    """A few random bytes, or at most 8 lines with ids up to 8: edges
+    (repeats are parallel edges) and maybe one comment, blank, self-loop or
+    junk line, with LF or CRLF line ends and sometimes a UTF-8 BOM."""
+    if draw(st.integers(0, 3)) == 3:
+        return draw(st.binary(max_size=24))
+    lines = draw(st.lists(_EDGE, max_size=7))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_NOISE))
+    text = draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+    bom = draw(st.sampled_from([False, False, False, True]))
+    return (b"\xef\xbb\xbf" if bom else b"") + text.encode("utf-8")
+
+
+_EVERY_SUBCOMMAND = (
+    ["density"],
+    ["decompose"],
+    ["decompose", "--variant", "sub-del"],
+    ["greedypp", "--iters", "2"],
+    ["supergreedypp", "--iters", "2"],
+    ["supergreedypp", "--fn", "rank-dual", "--iters", "2"],
+    ["treepack", "--iters", "2"],
+    ["treepack", "--mode", "fw", "--iters", "2"],
+    ["idealloads"],
+    ["fw-qp", "--iters", "2"],
+    ["fw-qp", "--exact", "--iters", "2"],
+    ["verify"],
+)
+
+
+class TestFuzz:
+    @pytest.mark.parametrize("argv", _EVERY_SUBCOMMAND, ids=lambda a: "_".join(a).replace("--", ""))
+    @settings(max_examples=20, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=_fuzz_files())
+    def test_any_file_ends_with_a_documented_exit_code(self, capsys, tmp_path, argv, data):
+        """Small random files, random bytes, CRLF, BOM, comment-only and
+        parallel-edge input: no exception escapes and no traceback prints."""
+        path = tmp_path / "fuzz.el"
+        path.write_bytes(data)
+        code, out, err = invoke(capsys, argv + [str(path)])
+        assert code in (0, 1, 2, 3, 64)
+        assert not any(line.startswith("Traceback") for line in (out + err).splitlines())
+        if code in (2, 3):
+            assert out == ""
+            assert err.startswith("error: ")
+            assert err.count("\n") == 1
 
 
 class TestEntryPoints:

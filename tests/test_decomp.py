@@ -31,6 +31,7 @@ from densefw import (
     edge_count_fn,
     enumerate_base_vertices,
     graphic_rank_fn,
+    lmo_contrapolymatroid,
     verify_base,
     verify_decomposition_equivalence,
 )
@@ -242,9 +243,31 @@ class TestCertificate:
     def test_uniform_point_of_symmetric_instance(self):
         assert certify_lex_optimal(edge_count_fn(triangle()), (1, 1, 1))
 
-    def test_size_cap(self):
-        with pytest.raises(GroundSetTooLargeError):
-            certify_lex_optimal(edge_count_fn(three_tier()), (1,) * 8)
+    def test_certifies_past_seven_elements(self):
+        f = edge_count_fn(three_tier())
+        assert len(f.ground) == 8
+        assert certify_lex_optimal(f, density_vector(f))
+        assert not certify_lex_optimal(f, lmo_contrapolymatroid(f, [0] * 8))
+
+    def test_agrees_with_vertex_enumeration(self):
+        """One greedy LMO call finds the least <x, v> over all vertices v."""
+        rng = random.Random(67)
+        for _ in range(8):
+            g = random_multigraph(rng, n_max=7, m_max=7)
+            for f in (edge_count_fn(g), graphic_rank_fn(g), dualize(graphic_rank_fn(g))):
+                verts = enumerate_base_vertices(f)
+                a, b = rng.choice(verts), rng.choice(verts)
+                n = len(f.ground)
+                for x in (
+                    density_vector(f),
+                    a,
+                    tuple(Fraction(p + q, 2) for p, q in zip(a.values, b.values)),
+                    tuple(Fraction(rng.randint(0, 9), rng.randint(1, 4)) for _ in range(n)),
+                    tuple(rng.uniform(0, 3) for _ in range(n)),
+                ):
+                    q = [Fraction(v) for v in (x.values if hasattr(x, "values") else x)]
+                    want = min(v.dot(q) for v in verts) >= sum(v * v for v in q)
+                    assert certify_lex_optimal(f, x) == want
 
     def test_sorted_vector_is_lexicographically_extreme(self):
         for g in (single_edge(), p3(), triangle(), star(), tri_pendant(), k4()):

@@ -1,6 +1,7 @@
 """Weighted peeling passes and the iterated peeling density maximizers."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from conftest import (
     triangle,
 )
 from densefw import (
+    MultiGraph,
     SetFunctionOracle,
     contract,
     density_vector,
@@ -41,7 +43,6 @@ class TestWeightedGreedy:
         r = weighted_greedy(triangle(), (0, 0, 0))
         assert r.order == (0, 1, 2)
         assert r.dhat.values == (2, 1, 0)
-        assert r.suffix_densities == (Fraction(1), Fraction(1, 2), Fraction(0))
 
     def test_star_leaves_go_first(self):
         # hub at the top index: every leaf records 1, the hub records 0
@@ -77,12 +78,13 @@ class TestWeightedGreedy:
     @settings(deadline=None, max_examples=30)
     @given(multigraphs())
     def test_suffix_densities_are_exact(self, g):
+        """The marginals summed over each suffix of the order are f of it,
+        which is how iterated peeling reads suffix densities."""
         f = edge_count_fn(g)
         r = weighted_greedy(g, [0] * g.n)
-        assert len(r.suffix_densities) == g.n
-        for i, dens in enumerate(r.suffix_densities):
+        for i in range(g.n):
             suffix = r.order[i:]
-            assert dens == Fraction(f.value(suffix), len(suffix))
+            assert sum(r.dhat.values[u] for u in suffix) == f.value(suffix)
 
 
 class TestWeightedSupergreedy:
@@ -118,7 +120,6 @@ class TestWeightedSupergreedy:
             b = weighted_supergreedy(edge_count_fn(g), w)
             assert a.order == b.order
             assert a.dhat.values == b.dhat.values
-            assert a.suffix_densities == b.suffix_densities
 
     def test_marginals_telescope_to_full_value(self):
         f = contract(edge_count_fn(three_tier()), {0})
@@ -146,34 +147,54 @@ class TestGreedyPP:
         rng = random.Random(59)
         for _ in range(20):
             g = random_multigraph(rng)
-            single = weighted_greedy(g, [0] * g.n)
-            assert greedy_pp(g, 1).best_density == max(single.suffix_densities)
+            f = edge_count_fn(g)
+            order = weighted_greedy(g, [0] * g.n).order
+            best = max(Fraction(f.value(order[i:]), g.n - i) for i in range(g.n))
+            res = greedy_pp(g, 1)
+            assert res.best_density == best
+            # the first suffix reaching the maximum is the one reported
+            first = next(i for i in range(g.n) if Fraction(f.value(order[i:]), g.n - i) == best)
+            assert res.best_set == frozenset(order[first:])
+
+    def test_sparse_round_is_linear(self):
+        """One round on many isolated vertices and one edge, where the suffix
+        density rises at every step, costs about one peel."""
+        n = 20000
+        g = MultiGraph(n, ((n - 2, n - 1),))
+        t0 = time.perf_counter()
+        weighted_greedy(g, [0] * n)
+        peel_s = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        res = greedy_pp(g, 1)
+        round_s = time.perf_counter() - t0
+        assert res.best_set == frozenset({n - 2, n - 1})
+        assert round_s <= 10 * peel_s
 
     def test_cumulative_loads_identity(self):
         g = tri_pendant()
-        res = greedy_pp(g, 7, keep_b_trace=True)
+        res = greedy_pp(g, 7, keep_iterates=True)
         w = [0] * g.n
-        for k, b in enumerate(res.b_trace, start=1):
+        for k, rec in enumerate(res.trace.records, start=1):
             d = weighted_greedy(g, w).dhat
             w = [x + y for x, y in zip(w, d.values)]
-            assert tuple(Fraction(x, k) for x in w) == b.values
+            assert tuple(Fraction(x, k) for x in w) == rec.iterate
         assert tuple(w) == res.loads
 
     def test_averaged_vector_is_a_base(self):
         g = three_tier()
         f = edge_count_fn(g)
-        res = greedy_pp(g, 12, keep_b_trace=True)
-        for b in res.b_trace:
-            assert verify_base(f, b)
+        res = greedy_pp(g, 12, keep_iterates=True)
+        for rec in res.trace.records:
+            assert verify_base(f, rec.iterate)
 
     def test_trace_fields(self):
         g = tri_pendant()
         ref = density_vector(edge_count_fn(g))
-        res = greedy_pp(g, 5, ref=ref, keep_b_trace=True)
-        for rec, b in zip(res.trace.records, res.b_trace):
+        res = greedy_pp(g, 5, ref=ref, keep_iterates=True)
+        for rec in res.trace.records:
             assert rec.gamma == 1.0 / rec.k
-            assert rec.objective == pytest.approx(float(sum(v * v for v in b.values)))
-            assert rec.dist_ref == pytest.approx(b.distance(ref))
+            assert rec.objective == pytest.approx(float(sum(v * v for v in rec.iterate)))
+            assert rec.dist_ref == pytest.approx(ref.distance(rec.iterate))
 
     def test_early_stop(self):
         g = three_tier()
@@ -181,6 +202,7 @@ class TestGreedyPP:
         res = greedy_pp(g, 100, ref=ref, stop_dist=0.05)
         assert res.iterations < 100
         assert res.trace.records[-1].dist_ref <= 0.05
+        assert all(rec.iterate is None for rec in res.trace.records)
 
     def test_iterations_validated(self):
         with pytest.raises(ValueError):

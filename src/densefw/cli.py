@@ -106,7 +106,7 @@ def _emit(obj: dict, out: Optional[str]) -> None:
 
 
 def _load_graph(path: str) -> MultiGraph:
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
         return parse_edge_list(fh.read())
 
 
@@ -186,12 +186,15 @@ def _cmd_idealloads(ns: argparse.Namespace, g: MultiGraph) -> int:
 
 def _cmd_fw_qp(ns: argparse.Namespace, g: MultiGraph) -> int:
     lmo = lambda w: polytope.optimal_orientation(g, w)[1]
+    ref = _ref(ns, setfn.edge_count_fn(g))
+    if ns.exact and ns.iters > fw.EXACT_ITERATION_CAP:  # for either schedule, as documented under --exact
+        raise ValueError(f"exact mode supports at most {fw.EXACT_ITERATION_CAP} iterations")
     x, trace = fw.frank_wolfe(
         lmo,
         ground=tuple(range(g.n)),
         schedule=fw.schedule_from_name(ns.schedule),
         iterations=ns.iters,
-        ref=_ref(ns, setfn.edge_count_fn(g)),
+        ref=ref,
         exact=ns.exact,
         stop_dist=ns.epsilon,
     )

@@ -1,13 +1,17 @@
-"""Frank-Wolfe for min sum(x^2) over a base polytope.
+"""Frank-Wolfe for min sum(x^2) over a base polytope: the one iterative
+loop of the package.
 
 The gradient of the objective is 2x, and linear minimization oracles are
-scale-invariant, so the LMO is simply queried at the current iterate. Two
-step schedules are supported: the standard 2/(k+2) rule and the averaging
-rule 1/(k+1), under which the iterate b^(k) is exactly the mean of the
-first k LMO answers (the starting point only seeds the first query). The
-averaging path therefore maintains a running sum and divides, which keeps
-integer LMO answers exactly countable and makes the identity
-(k+1) b^(k+1) = k b^(k) + d^(k+1) literal.
+scale-invariant, so the LMO may be queried at any positive multiple of the
+current iterate. Two step schedules are supported: the standard 2/(k+2)
+rule, which queries at the iterate, and the averaging rule 1/(k+1), under
+which the iterate b^(k) is exactly the mean of the first k LMO answers (the
+starting point only seeds the first query). The averaging path keeps the
+running sum of the answers in their own number type, queries the LMO at
+that sum and divides only for output, so integer answers stay exactly
+countable and (k+1) b^(k+1) = k b^(k) + d^(k+1) is literal. For a peeling
+LMO, querying at the cumulative loads is the Greedy++ rule, so greedy
+tree packing, Greedy++ and Super-Greedy++ all run on `frank_wolfe`.
 
 `harmonic_bound` is the objective-gap guarantee for averaging steps with a
 delta-approximate LMO: 2 * C * (1 + delta) * H_{k+1} / (k+1). Curvature C
@@ -25,7 +29,7 @@ from .errors import NumericalError
 from .graph import MultiGraph
 from .polytope import BaseVector
 
-EXACT_ITERATION_CAP = 20  # support envelope for exact-rational iterates
+EXACT_ITERATION_CAP = 20  # exact iterations under the standard schedule, whose denominators grow
 
 
 @dataclass(frozen=True)
@@ -49,7 +53,7 @@ AVERAGING = StepSchedule("averaging")
 
 
 def schedule_from_name(name: str) -> StepSchedule:
-    if name in ("avg", "averaging"):
+    if name == "avg":
         return AVERAGING
     if name == "standard":
         return STANDARD
@@ -101,12 +105,14 @@ def frank_wolfe(
 
     x0 defaults to the LMO answer at all-zero weights (`ground` supplies the
     dimension in that case). `ref` enables the dist_ref trace column and the
-    optional early stop at stop_dist. Exact mode keeps Fraction iterates and
-    is capped at 20 iterations.
+    optional early stop at stop_dist. Exact mode needs int or Fraction LMO
+    answers and returns Fraction iterates; under the standard schedule it is
+    capped at EXACT_ITERATION_CAP iterations.
     """
+    averaging = schedule.variant == "averaging"
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    if exact and iterations > EXACT_ITERATION_CAP:
+    if exact and not averaging and iterations > EXACT_ITERATION_CAP:
         raise ValueError(f"exact mode supports at most {EXACT_ITERATION_CAP} iterations")
     if x0 is None:
         if ground is None:
@@ -118,38 +124,39 @@ def frank_wolfe(
     refv = None if ref is None else [float(r) for r in (ref.values if isinstance(ref, BaseVector) else ref)]
 
     conv = Fraction if exact else float
-    x = [conv(v) for v in x0.values]
-    total = None  # running sum of LMO answers (averaging schedule)
+    # q is where the LMO is queried. Averaging: x0, then the running sum of
+    # the answers, in their own number type; the iterate is q / k.
+    # Standard: the iterate itself (scale 1).
+    q = x0.values if averaging else [conv(v) for v in x0.values]
+    scale = 1
     trace = ConvergenceTrace()
-    averaging = schedule.variant == "averaging"
-
-    for it in range(1, iterations + 1):
-        gamma = schedule.gamma(it - 1)
-        d = [conv(v) for v in lmo(x).values]
+    for k in range(1, iterations + 1):
+        gamma = schedule.gamma(k - 1)
+        d = lmo(q).values
         if averaging:
-            total = list(d) if total is None else [t + dv for t, dv in zip(total, d)]
-            x = [t / it for t in total]
+            q = d if k == 1 else [t + dv for t, dv in zip(q, d)]
+            scale = k
         else:
             g = conv(gamma)
-            x = [(1 - g) * xv + g * dv for xv, dv in zip(x, d)]
-        if not exact and not all(math.isfinite(v) for v in x):
-            raise NumericalError(f"non-finite iterate at iteration {it}")
-        objective = sum(v * v for v in x)
+            q = [(1 - g) * t + g * dv for t, dv in zip(q, d)]
+        if exact:
+            objective = float(sum(t * t for t in q) / (scale * scale))
+            x = [float(t / scale) for t in q] if refv is not None else None
+        else:
+            x = [float(t) / scale for t in q]
+            if not all(math.isfinite(v) for v in x):
+                raise NumericalError(f"non-finite iterate at iteration {k}")
+            objective = sum(v * v for v in x)
         dist = None
         if refv is not None:
-            dist = math.sqrt(sum((float(v) - r) ** 2 for v, r in zip(x, refv)))
-        trace.records.append(
-            TraceRecord(
-                k=it,
-                objective=float(objective),
-                gamma=float(gamma),
-                dist_ref=dist,
-                iterate=tuple(x) if keep_iterates else None,
-            )
-        )
+            dist = math.sqrt(sum((v - r) ** 2 for v, r in zip(x, refv)))
+        iterate = None
+        if keep_iterates:
+            iterate = tuple(Fraction(t, scale) for t in q) if exact else tuple(x)
+        trace.records.append(TraceRecord(k, objective, float(gamma), dist, iterate))
         if stop_dist is not None and dist is not None and dist <= stop_dist:
             break
-    return BaseVector(ground, tuple(x)), trace
+    return BaseVector(ground, tuple(Fraction(t, scale) for t in q) if exact else x), trace
 
 
 _HARMONIC = [Fraction(0)]  # exact H_0, H_1, ..., grown on demand

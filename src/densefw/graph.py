@@ -88,12 +88,13 @@ def parse_edge_list(text: str) -> MultiGraph:
     """Parse whitespace-separated "u v" lines into a MultiGraph.
 
     Lines starting with '#' and blank lines are skipped. Vertex ids are
-    nonnegative integers up to VERTEX_CAP; the vertex set is 0..max-id, so
-    ids that never appear still exist as isolated vertices. Errors carry the
-    offending 1-based line number.
+    ASCII digit strings with values up to VERTEX_CAP; the vertex set is
+    0..max-id, so ids that never appear still exist as isolated vertices.
+    Errors carry the offending 1-based line number.
     """
     edges: list[tuple[int, int]] = []
     max_id = -1
+    ascii_text = text.isascii()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -101,12 +102,15 @@ def parse_edge_list(text: str) -> MultiGraph:
         parts = line.split()
         if len(parts) != 2:
             raise GraphParseError(f"expected two vertex ids, got {line!r}", lineno)
+        a, b = parts
+        # ASCII digits only: int() would also take "+1", "1_0" and other scripts' digits
+        if not (a.isdigit() and b.isdigit() and (ascii_text or line.isascii())):
+            signed = line.isascii() and a.removeprefix("-").isdigit() and b.removeprefix("-").isdigit()
+            raise GraphParseError(f"{'negative' if signed else 'non-integer'} vertex id in {line!r}", lineno)
         try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
+            u, v = int(a), int(b)
+        except ValueError:  # digit strings longer than int() converts
             raise GraphParseError(f"non-integer vertex id in {line!r}", lineno) from None
-        if u < 0 or v < 0:
-            raise GraphParseError(f"negative vertex id in {line!r}", lineno)
         if u > VERTEX_CAP or v > VERTEX_CAP:
             raise GraphParseError(f"vertex id above {VERTEX_CAP} in {line!r}", lineno)
         if u == v:

@@ -8,24 +8,24 @@ polytope. weighted_supergreedy generalizes the rule to w(u) + f(u | rest)
 for any supermodular oracle; the last element records f({u}) so the
 recorded marginals still telescope to f(V).
 
-greedy_pp / supergreedy_pp iterate the peel with cumulative weights: after
-k rounds the cumulative load vector w_k equals k * b^(k), where b^(k) is
-the averaging-schedule Frank-Wolfe iterate driven by this noisy oracle.
-The marginals telescope (dhat summed over a suffix of the order is f of that
-suffix), and the best suffix density seen anywhere (including the full set;
-the first round is plain unweighted peeling) is tracked exactly.
+greedy_pp / supergreedy_pp are fw.frank_wolfe with the averaging schedule
+and the peel as its (noisy) LMO: frank_wolfe queries it at the running sum
+of its answers, so round k+1 peels with the cumulative loads k * b^(k), which
+is the Greedy++ rule. The marginals telescope (dhat summed over a suffix of
+the order is f of that suffix), and the LMO wrapper tracks, exactly, the
+best suffix density seen in any round (including the full set; the first
+round is plain unweighted peeling).
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import GroundSetTooLargeError
-from .fw import ConvergenceTrace, TraceRecord
+from .fw import ConvergenceTrace, frank_wolfe
 from .graph import MultiGraph
 from .polytope import BaseVector
 from .setfn import SetFunctionOracle
@@ -129,14 +129,14 @@ class GreedyPPResult:
     """Outcome of iterated peeling.
 
     best_set/best_density: densest suffix seen anywhere, exact arithmetic,
-    first strict improvement wins ties. loads: final cumulative marginal
-    vector (equals iterations * b^(final) exactly). With keep_iterates, each
-    trace record's `iterate` holds b^(k) = loads_k / k as exact rationals.
+    first strict improvement wins ties. x: the final averaged iterate b^(T)
+    as exact rationals (iterations * x is the cumulative marginal vector).
+    With keep_iterates, each trace record's `iterate` holds b^(k).
     """
 
     best_set: frozenset[int]
     best_density: Fraction
-    loads: tuple
+    x: BaseVector
     iterations: int
     trace: ConvergenceTrace
 
@@ -148,47 +148,34 @@ class GreedyPPResult:
         }
 
 
-def _iterated_peel(
-    ground: tuple[int, ...],
-    peel_once,
-    iterations: int,
-    ref,
-    stop_dist,
-    keep_iterates: bool,
-) -> GreedyPPResult:
-    n = len(ground)
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    w: list = [0] * n
-    pos = {e: i for i, e in enumerate(ground)}
-    refv = None if ref is None else [float(v) for v in (ref.values if isinstance(ref, BaseVector) else ref)]
-    trace = ConvergenceTrace()
-    for k in range(1, iterations + 1):
-        pr = peel_once(w)
+class _DensestSuffixLMO:
+    """A peel as Frank-Wolfe's LMO: answers with the recorded marginals and
+    keeps the densest suffix of any round's order in best_set/best_density.
+    The first query is at zero weights, so the full set is the first
+    candidate."""
+
+    def __init__(self, ground: tuple[int, ...], peel_once):
+        self.peel_once = peel_once
+        self.pos = {e: i for i, e in enumerate(ground)}
+        self.best_set = frozenset(ground)
+        self.best_density = None
+
+    def __call__(self, w) -> BaseVector:
+        pr = self.peel_once(w)
         dhat = pr.dhat.values  # aligned with ground
-        w = [a + d for a, d in zip(w, dhat)]
+        n = len(dhat)
         left = sum(dhat)  # f(ground), as the marginals telescope
-        if k == 1:
-            best_density, best_set = Fraction(left, n), frozenset(ground)
-        # left is f(order[i:]); compare left/(n-i) with the best by cross-multiplying
-        best_i = None
+        if self.best_density is None:
+            self.best_density = Fraction(left, n)
+        num, den, best_i = self.best_density.numerator, self.best_density.denominator, None
+        # left is f(order[i:]); compare left/(n-i) with num/den by cross-multiplying
         for i, u in enumerate(pr.order):
-            if left * best_density.denominator > best_density.numerator * (n - i):
-                best_density = Fraction(left, n - i)
-                best_i = i
-            left -= dhat[pos[u]]
+            if left * den > num * (n - i):
+                num, den, best_i = left, n - i, i
+            left -= dhat[self.pos[u]]
         if best_i is not None:
-            best_set = frozenset(pr.order[best_i:])
-        num = sum(v * v for v in w)
-        objective = num / (k * k) if isinstance(num, int) else float(num) / (k * k)
-        dist = None
-        if refv is not None:
-            dist = math.sqrt(sum((float(v) / k - r) ** 2 for v, r in zip(w, refv)))
-        iterate = tuple(Fraction(v, k) if isinstance(v, int) else v / k for v in w) if keep_iterates else None
-        trace.records.append(TraceRecord(k=k, objective=float(objective), gamma=1.0 / k, dist_ref=dist, iterate=iterate))
-        if stop_dist is not None and dist is not None and dist <= stop_dist:
-            break
-    return GreedyPPResult(best_set, best_density, tuple(w), len(trace.records), trace)
+            self.best_density, self.best_set = Fraction(num, den), frozenset(pr.order[best_i:])
+        return pr.dhat
 
 
 def greedy_pp(
@@ -201,14 +188,11 @@ def greedy_pp(
     """Iterated degree peeling with cumulative integer weights. One
     iteration is plain unweighted peeling; the densest suffix across all
     iterations is the reported set."""
-    return _iterated_peel(
-        tuple(range(g.n)),
-        lambda w: weighted_greedy(g, w),
-        iterations,
-        ref,
-        stop_dist,
-        keep_iterates,
-    )
+    ground = tuple(range(g.n))
+    lmo = _DensestSuffixLMO(ground, lambda w: weighted_greedy(g, w))
+    x, trace = frank_wolfe(lmo, BaseVector(ground, (0,) * g.n), exact=True, iterations=iterations,
+                           ref=ref, stop_dist=stop_dist, keep_iterates=keep_iterates)
+    return GreedyPPResult(lmo.best_set, lmo.best_density, x, len(trace.records), trace)
 
 
 def supergreedy_pp(
@@ -221,11 +205,7 @@ def supergreedy_pp(
     """Iterated supermodular peeling with cumulative rational weights; one
     value cache serves the whole run, as rounds repeat sets once the order settles."""
     cache: dict = {}
-    return _iterated_peel(
-        f.ground,
-        lambda w: _supergreedy(f, w, cache),
-        iterations,
-        ref,
-        stop_dist,
-        keep_iterates,
-    )
+    lmo = _DensestSuffixLMO(f.ground, lambda w: _supergreedy(f, w, cache))
+    x, trace = frank_wolfe(lmo, BaseVector(f.ground, (0,) * len(f.ground)), exact=True, iterations=iterations,
+                           ref=ref, stop_dist=stop_dist, keep_iterates=keep_iterates)
+    return GreedyPPResult(lmo.best_set, lmo.best_density, x, len(trace.records), trace)

@@ -186,11 +186,22 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert err.startswith("error: ")
 
+    def test_utf8_bom_is_skipped(self, capsys, tmp_path):
+        path = tmp_path / "bom.el"
+        path.write_bytes(b"\xef\xbb\xbf0 1\n1 2\n2 0\n")
+        plain = write_graph(tmp_path, "plain.el", "0 1\n1 2\n2 0\n")
+        result = invoke(capsys, ["density", str(path)])
+        assert result == invoke(capsys, ["density", plain])
+        assert result[0] == 0
+
     def test_self_loop(self, capsys, tmp_path):
         path = write_graph(tmp_path, "loop.el", "0 0\n")
         assert invoke(capsys, ["density", path])[0] == 2
 
-    @pytest.mark.parametrize("command", ["density", "greedypp", "verify"])
+    @pytest.mark.parametrize(
+        "command",
+        ["density", "decompose", "greedypp", "supergreedypp", "treepack", "idealloads", "fw-qp", "verify"],
+    )
     def test_huge_vertex_id(self, tmp_path, command):
         """Ids are checked against graph.VERTEX_CAP before any n-sized array
         is built, so a huge id is one error line, not a MemoryError. The
@@ -243,9 +254,12 @@ class TestExitCodes:
         assert err == f"error: supermodular peeling limited to {SUPERGREEDY_CAP} elements, got 1000001\n"
 
     def test_exact_iteration_cap(self, capsys, data_dir):
-        code, _, _ = invoke(capsys, [
-            "fw-qp", "--exact", "--iters", "25", str(data_dir / "triangle.el")])
-        assert code == 3
+        """The library caps only the standard schedule; the CLI keeps 20 for both."""
+        for schedule in ("avg", "standard"):
+            code, out, err = invoke(capsys, [
+                "fw-qp", "--exact", "--schedule", schedule, "--iters", "25", str(data_dir / "triangle.el")])
+            assert code == 3
+            assert (out, err) == ("", "error: exact mode supports at most 20 iterations\n")
 
     def test_usage_errors(self, capsys, data_dir):
         assert invoke(capsys, ["no-such-command", "x.el"])[0] == 64

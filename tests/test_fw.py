@@ -24,7 +24,7 @@ from densefw import (
     verify_base,
 )
 from densefw.errors import NumericalError
-from densefw.fw import harmonic_number, harmonic_numbers_float, schedule_from_name
+from densefw.fw import EXACT_ITERATION_CAP, harmonic_number, harmonic_numbers_float, schedule_from_name
 
 
 def orientation_lmo(g):
@@ -51,10 +51,10 @@ class TestStepSchedule:
 
     def test_names(self):
         assert schedule_from_name("avg") is AVERAGING
-        assert schedule_from_name("averaging") is AVERAGING
         assert schedule_from_name("standard") is STANDARD
-        with pytest.raises(ValueError):
-            schedule_from_name("fast")
+        for name in ("fast", "averaging"):  # no alias beyond the CLI's two names
+            with pytest.raises(ValueError):
+                schedule_from_name(name)
 
 
 class TestFrankWolfe:
@@ -98,6 +98,43 @@ class TestFrankWolfe:
             total = tuple(sum(col) for col in zip(*answers))
             assert tuple(v * rec.k for v in rec.iterate) == total
             cur = rec.iterate
+
+    def test_averaging_queries_x0_then_the_running_sums(self):
+        g = tri_pendant()
+        inner = orientation_lmo(g)
+        queries = []
+
+        def spy(w):
+            queries.append(tuple(w))
+            return inner(w)
+
+        x0 = BaseVector(tuple(range(4)), (1, 1, 2, 0))
+        for exact in (True, False):
+            queries.clear()
+            frank_wolfe(spy, x0, iterations=6, exact=exact)
+            assert queries[0] == x0.values
+            total = (0,) * 4
+            for k in range(1, 6):
+                total = tuple(t + d for t, d in zip(total, inner(queries[k - 1]).values))
+                assert queries[k] == total
+                assert all(type(v) is int for v in queries[k])
+
+    def test_exact_averaging_runs_past_the_standard_cap(self):
+        g = tri_pendant()
+        lmo = orientation_lmo(g)
+        iters = 3 * EXACT_ITERATION_CAP
+        x, trace = frank_wolfe(lmo, ground=tuple(range(4)), iterations=iters, exact=True,
+                               keep_iterates=True)
+        assert len(trace.records) == iters
+        total = [0] * 4
+        cur = optimal_orientation(g, (0,) * 4)[1].values
+        for rec in trace.records:
+            total = [t + d for t, d in zip(total, lmo(cur).values)]
+            assert rec.iterate == tuple(Fraction(t, rec.k) for t in total)
+            assert rec.objective == float(Fraction(sum(t * t for t in total), rec.k ** 2))
+            cur = total
+        assert x.values == trace.records[-1].iterate
+        assert all(type(v) is Fraction for v in x.values)
 
     def test_exact_iterates_stay_in_the_polytope(self):
         for g in (triangle(), tri_pendant(), k4()):
@@ -143,7 +180,7 @@ class TestFrankWolfe:
         with pytest.raises(ValueError):
             frank_wolfe(lambda w: None, ground=(0,), iterations=0)
         with pytest.raises(ValueError):
-            frank_wolfe(lambda w: None, ground=(0,), iterations=21, exact=True)
+            frank_wolfe(lambda w: None, ground=(0,), schedule=STANDARD, iterations=21, exact=True)
         with pytest.raises(ValueError):
             frank_wolfe(lambda w: None, iterations=5)  # no x0, no ground
 

@@ -69,8 +69,18 @@ class TestParseEdgeList:
         assert exc.value.line == 1
 
     def test_negative_id_rejected(self):
-        with pytest.raises(GraphParseError):
-            parse_edge_list("0 -1")
+        for text in ("0 -1", "-0 1", "-12 3"):
+            with pytest.raises(GraphParseError, match="negative vertex id"):
+                parse_edge_list(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["1_0 2", "\u0663 +1", "+1 2", "0 \u00b2", "0 1.0", "0 0x1", "-1 x", "-+1 2", "0 --1", "- 1"],
+    )
+    def test_ids_are_ascii_digits(self, text):
+        """int() would read the first two lines as edges (10, 2) and (3, 1)."""
+        with pytest.raises(GraphParseError, match="non-integer vertex id"):
+            parse_edge_list(text)
 
     def test_self_loop_reports_line(self):
         with pytest.raises(GraphParseError) as exc:

@@ -178,7 +178,7 @@ class TestGreedyPP:
             d = weighted_greedy(g, w).dhat
             w = [x + y for x, y in zip(w, d.values)]
             assert tuple(Fraction(x, k) for x in w) == rec.iterate
-        assert tuple(w) == res.loads
+        assert tuple(Fraction(x, res.iterations) for x in w) == res.x.values
 
     def test_averaged_vector_is_a_base(self):
         g = three_tier()
@@ -222,7 +222,7 @@ class TestSupergreedyPP:
             b = supergreedy_pp(edge_count_fn(g), 3)
             assert a.best_set == b.best_set
             assert a.best_density == b.best_density
-            assert a.loads == b.loads
+            assert a.x == b.x
 
     def test_modular_oracle_is_flat(self):
         res = supergreedy_pp(modular((0, 1, 2), 2), 1)
@@ -243,7 +243,7 @@ class TestSupergreedyPP:
             edges.ground, SUPERMODULAR, True, True, lambda s: asked.append(s) or edges._eval(s))
         res = supergreedy_pp(f, 6)
         assert res.iterations == 6
-        assert res.loads == greedy_pp(three_tier(), 6).loads
+        assert res.x == greedy_pp(three_tier(), 6).x
         assert len(asked) == len(set(asked))
 
     def test_converges_to_density_vector(self):

@@ -58,10 +58,8 @@ def run_instance_checks(g: MultiGraph, seed: int = 0) -> list[CheckResult]:
         add("graphic_rank_submodular", setfn.check_kind(f_rank) and setfn.check_monotone(f_rank) and setfn.check_normalized(f_rank))
         dual = setfn.dualize(f_rank)
         back = setfn.dualize(dual)
-        add(
-            "dualize_involution",
-            all(back.value(s) == f_rank.value(s) for s in setfn.subsets(f_rank.ground)),
-        )
+        pairs = zip(setfn.walk(back, f_rank.ground), setfn.walk(f_rank, f_rank.ground))
+        add("dualize_involution", all(vb == vf for (_, _, vb), (_, _, vf) in pairs))
 
     if g.n <= setfn.ENUM_CAP:
         for trial in range(5):
@@ -97,7 +95,7 @@ def run_instance_checks(g: MultiGraph, seed: int = 0) -> list[CheckResult]:
         add("curvature_bracket", lo <= wit <= hi, f"2m={lo} witness={wit} cap={hi}")
 
     if g.m >= 1:
-        sq = sum(g.degree(v) ** 2 for v in range(g.n))
+        sq = sum(d * d for d in g._degrees)
         ok = True
         for _ in range(10):
             w = [rng.randint(0, 15) for _ in range(g.n)]

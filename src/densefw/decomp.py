@@ -16,8 +16,8 @@ The density vector assigns every element the density of its block
 variant, so the values telescope to f(V)); it is the minimum-norm point of
 the base polytope and the unique lexicographically extreme base.
 
-Everything here but the certificate enumerates subsets through
-`setfn.subsets`, so ground sets are capped at `setfn.ENUM_CAP` (20) elements.
+Everything here but the certificate scans subsets with `setfn.walk`, so
+ground sets are capped at `setfn.ENUM_CAP` (20) elements.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from fractions import Fraction
 
 from .errors import DegenerateDecompositionError, OracleFlagError
 from .polytope import BaseVector, lmo
-from .setfn import SUBMODULAR, SUPERMODULAR, SetFunctionOracle, dualize, subsets
+from .setfn import SUBMODULAR, SUPERMODULAR, SetFunctionOracle, dualize, walk
 
 CONTRACTION = "supermodular_contraction"
 DELETION = "submodular_deletion"
@@ -76,22 +76,21 @@ class DenseDecomposition:
 
 def _densest(f: SetFunctionOracle, remaining, acc: frozenset[int], f_acc) -> tuple[frozenset[int], Fraction]:
     """Maximal maximizer of (f(S | acc) - f_acc) / |S| over nonempty S within
-    `remaining`, by full enumeration. The union of all maximizers is
-    returned; supermodularity makes it a maximizer itself, and that is
-    re-checked so a mis-flagged oracle fails loudly instead of silently."""
-    best: Fraction | None = None
-    union: set[int] = set()
-    for s in subsets(remaining):
-        if not s:
+    `remaining`, by one walk. The union of all maximizers is returned;
+    supermodularity makes it a maximizer itself, and that is re-checked so a
+    mis-flagged oracle fails loudly instead of silently."""
+    num, den, union = 0, 0, 0  # best density num / den, compared by cross-multiplying; den == 0 at first
+    for mask, size, value in walk(f, remaining, acc):
+        if not size:
             continue
-        d = Fraction(f._eval(s | acc) - f_acc, len(s))
-        if best is None or d > best:
-            best = d
-            union = set(s)
-        elif d == best:
-            union |= s
-    assert best is not None
-    top = frozenset(union)
+        c = (value - f_acc) * den - num * size
+        if c > 0 or not den:
+            num, den, union = value - f_acc, size, mask
+        elif c == 0:
+            union |= mask
+    assert den
+    best = Fraction(num, den)
+    top = frozenset(e for j, e in enumerate(remaining) if union >> j & 1)
     if Fraction(f._eval(top | acc) - f_acc, len(top)) != best:
         raise OracleFlagError("maximizers not closed under union; oracle is not supermodular")
     return top, best
@@ -135,7 +134,7 @@ def decompose_submodular_deletion(f: SetFunctionOracle) -> DenseDecomposition:
     if not (f.monotone and f.normalized):
         raise OracleFlagError("deletion decomposition needs a monotone, normalized oracle")
     cur = tuple(f.ground)
-    scan = subsets(cur)  # raises above ENUM_CAP before any evaluation
+    scan = walk(f, cur)  # raises above ENUM_CAP before any evaluation
     for v in cur:
         if f._eval(frozenset([v])) <= 0:
             raise OracleFlagError(f"deletion decomposition needs f({{{v}}}) > 0")
@@ -143,26 +142,21 @@ def decompose_submodular_deletion(f: SetFunctionOracle) -> DenseDecomposition:
     blocks: list[tuple[int, ...]] = []
     ratios: list[Fraction] = []
     while cur:
-        best: Fraction | None = None
-        inter: set[int] | None = None
-        for s in scan:
-            if len(s) == len(cur):
+        num, den, inter = 0, 0, 0  # least ratio num / den; den == 0 before the first
+        for mask, size, fs in scan:
+            if size == len(cur) or fs >= f_cur:
                 continue
-            fs = f._eval(s)
-            if fs >= f_cur:
-                continue
-            ratio = Fraction(len(cur) - len(s), f_cur - fs)
-            if best is None or ratio < best:
-                best = ratio
-                inter = set(s)
-            elif ratio == best:
-                inter &= s
-        if best is None:
+            c = (len(cur) - size) * den - num * (f_cur - fs)
+            if c < 0 or not den:
+                num, den, inter = len(cur) - size, f_cur - fs, mask
+            elif c == 0:
+                inter &= mask
+        if not den:
             raise DegenerateDecompositionError(
                 "no proper subset drops the value; f(V') = f(S) everywhere"
             )
-        assert inter is not None
-        core = frozenset(inter)
+        best = Fraction(num, den)
+        core = frozenset(e for j, e in enumerate(cur) if inter >> j & 1)
         f_core = f._eval(core)
         if f_core >= f_cur or Fraction(len(cur) - len(core), f_cur - f_core) != best:
             raise OracleFlagError(
@@ -173,7 +167,7 @@ def decompose_submodular_deletion(f: SetFunctionOracle) -> DenseDecomposition:
         blocks.append(tuple(sorted(set(cur) - core)))
         ratios.append(best)
         cur = tuple(e for e in cur if e in core)
-        scan = subsets(cur)
+        scan = walk(f, cur)
         f_cur = f_core
     return DenseDecomposition(DELETION, tuple(blocks), tuple(ratios))
 

@@ -194,8 +194,9 @@ def harmonic_bound(k: int, curvature_upper, delta) -> Fraction:
 def curvature_bounds(g: MultiGraph) -> tuple[int, int]:
     """(2m, 2 * sum deg^2): bracket for the edge-count polytope curvature,
     the worst-case 2 ||s - x||^2 over pairs of feasible points."""
-    sq = sum(g.degree(v) ** 2 for v in range(g.n))
+    sq = sum(d * d for d in g._degrees)
     return 2 * g.m, 2 * sq
+
 
 def delta_for_graph(g: MultiGraph) -> Fraction:
     """LMO inaccuracy factor sum(deg^2)/m used in the peeling analysis.
@@ -204,4 +205,4 @@ def delta_for_graph(g: MultiGraph) -> Fraction:
     """
     if g.m == 0:
         raise ValueError("delta undefined for empty edge set")
-    return Fraction(sum(g.degree(v) ** 2 for v in range(g.n)), g.m)
+    return Fraction(sum(d * d for d in g._degrees), g.m)

@@ -51,7 +51,7 @@ def weighted_greedy(g: MultiGraph, w: Sequence) -> PeelResult:
     n = g.n
     if len(w) != n:
         raise ValueError(f"expected {n} weights, got {len(w)}")
-    deg = [g.degree(v) for v in range(n)]
+    deg = list(g._degrees)
     adj = g.adjacency
     alive = [True] * n
     heap = [(w[u] + deg[u], u, deg[u]) for u in range(n)]

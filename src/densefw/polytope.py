@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .errors import GroundSetTooLargeError, OracleFlagError
 from .graph import MultiGraph
-from .setfn import SUBMODULAR, SUPERMODULAR, SetFunctionOracle, subsets
+from .setfn import SUBMODULAR, SUPERMODULAR, SetFunctionOracle, walk
 
 
 @dataclass(frozen=True)
@@ -134,8 +134,9 @@ def verify_base(f: SetFunctionOracle, x, tol=0) -> bool:
 
     Exact arithmetic: float inputs are converted to exact binary rationals.
     `tol` relaxes every constraint symmetrically for floating iterates.
+    x(S) is kept along the subset walk, in ints scaled by one denominator.
     """
-    scan = subsets(f.ground)  # raises above ENUM_CAP before any arithmetic
+    scan = walk(f, f.ground)  # raises above ENUM_CAP before any arithmetic
     vals = x.values if isinstance(x, BaseVector) else tuple(x)
     if len(vals) != len(f.ground):
         raise ValueError("vector length mismatch")
@@ -147,17 +148,17 @@ def verify_base(f: SetFunctionOracle, x, tol=0) -> bool:
     full = f._eval(f.ground_set)
     if abs(total - full) > tol:
         return False
-    sub = f.kind == SUBMODULAR
-    x_of = dict(zip(f.ground, q))
-    for s in scan:
-        if not s:
-            continue
-        xs = sum(x_of[e] for e in s)
-        fs = f._eval(s)
-        if sub:
-            if xs > fs + tol:
-                return False
-        elif xs < fs - tol:
+    sign = 1 if f.kind == SUBMODULAR else -1  # x(S) <= f(S), or >= for supermodular f
+    den = math.lcm(tol.denominator, *(v.denominator for v in q))
+    step = {1 << j: int(v * den) for j, v in enumerate(q)}
+    tol = int(tol * den)
+    next(scan)  # the empty set comes first and carries no constraint
+    prev = xs = 0
+    for mask, _, fs in scan:
+        bit = mask ^ prev
+        prev = mask
+        xs += step[bit] if mask & bit else -step[bit]
+        if sign * (xs - fs * den) > tol:
             return False
     return True
 

@@ -7,14 +7,14 @@ checkers below verify them on small ground sets in tests. All values are
 ints or fractions.Fraction; nothing in this module touches floats.
 
 Oracles hold no state: a value is a pure function of its frozenset
-argument, so exhaustive scans over an oracle run in constant memory.
+argument, so exhaustive scans over an oracle run in constant memory. Every
+such scan is one `walk`, a Gray-code pass over int masks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
 from typing import Callable, Iterable
 
 from .errors import GroundSetTooLargeError, OracleFlagError
@@ -33,6 +33,10 @@ class SetFunctionOracle:
     monotone: bool
     normalized: bool
     _eval: Callable[[frozenset[int]], Fraction | int] = field(repr=False)
+    # Optional hook for `walk`: _gains(elems, base) returns gain(mask, j) =
+    # f(S | base | {elems[j]}) - f(S | base), where bit j is clear in mask and
+    # S is the subset of elems whose positions are set in mask.
+    _gains: Callable | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in (SUBMODULAR, SUPERMODULAR):
@@ -69,7 +73,35 @@ def edge_count_fn(g: MultiGraph) -> SetFunctionOracle:
     def ev(s: frozenset[int]) -> int:
         return sum(1 for u, v in edges if u in s and v in s)
 
-    return SetFunctionOracle(tuple(range(g.n)), SUPERMODULAR, True, True, ev)
+    def gains(elems, base):
+        # Per position: edges into base, and neighbour masks over positions
+        # in elems in binary layers (layer k: neighbours whose edge
+        # multiplicity has bit k set), so parallel edges count with multiplicity.
+        pos = {v: j for j, v in enumerate(elems)}
+        into_base = [0] * len(elems)
+        nbr = [[0] * (len(edges).bit_length() + 1) for _ in elems]
+        for u, v in edges:
+            for a, b in ((u, v), (v, u)):
+                if a in pos and b in base:
+                    into_base[pos[a]] += 1
+                elif a in pos and b in pos:
+                    layers, bit, k = nbr[pos[a]], 1 << pos[b], 0
+                    while layers[k] & bit:  # one more parallel copy: carry
+                        layers[k] ^= bit
+                        k += 1
+                    layers[k] |= bit
+        first = [layers[0] for layers in nbr]
+        more = [tuple((k, x) for k, x in enumerate(layers) if k and x) for layers in nbr]
+
+        def gain(mask, j):
+            c = (first[j] & mask).bit_count() + into_base[j]
+            for k, layer in more[j]:
+                c += (layer & mask).bit_count() << k
+            return c
+
+        return gain
+
+    return SetFunctionOracle(tuple(range(g.n)), SUPERMODULAR, True, True, ev, gains)
 
 
 def graphic_rank_fn(g: MultiGraph) -> SetFunctionOracle:
@@ -111,7 +143,8 @@ def contract(f: SetFunctionOracle, onto: Iterable[int]) -> SetFunctionOracle:
     def ev(s: frozenset[int]):
         return f._eval(s | a) - f_a
 
-    return SetFunctionOracle(rest, f.kind, f.monotone, True, ev)
+    gains = None if f._gains is None else (lambda elems, base: f._gains(elems, base | a))
+    return SetFunctionOracle(rest, f.kind, f.monotone, True, ev, gains)
 
 
 def restrict(f: SetFunctionOracle, keep: Iterable[int]) -> SetFunctionOracle:
@@ -120,7 +153,7 @@ def restrict(f: SetFunctionOracle, keep: Iterable[int]) -> SetFunctionOracle:
     if not k <= f.ground_set:
         raise ValueError("restriction set not within ground set")
     kept = tuple(e for e in f.ground if e in k)
-    return SetFunctionOracle(kept, f.kind, f.monotone, f.normalized, f._eval)
+    return SetFunctionOracle(kept, f.kind, f.monotone, f.normalized, f._eval, f._gains)
 
 
 def nn_sum(a, f: SetFunctionOracle, b, g: SetFunctionOracle) -> SetFunctionOracle:
@@ -144,13 +177,37 @@ def nn_sum(a, f: SetFunctionOracle, b, g: SetFunctionOracle) -> SetFunctionOracl
 ENUM_CAP = 20  # largest ground set any exhaustive subset scan accepts
 
 
-def subsets(elems: tuple[int, ...]):
-    """Every subset of `elems` as a frozenset, lazily, by increasing size
-    (so the empty set comes first and `elems` itself last). Above ENUM_CAP
-    elements it raises when called, before the first subset is asked for."""
+def walk(f: SetFunctionOracle, elems: tuple[int, ...], base: frozenset[int] = frozenset()):
+    """Every subset S of `elems` as (mask, |S|, f(S | base)), lazily, in
+    Gray-code order from the empty set: bit j of mask stands for elems[j],
+    and consecutive masks differ in one bit. `base` must be disjoint from
+    `elems`. Memory is constant: an oracle with a `_gains` hook moves by one
+    gain per step, any other is evaluated on one frozenset changed by one
+    element per step. Above ENUM_CAP elements it raises when called, before
+    any mask is built or the oracle is asked anything."""
     if len(elems) > ENUM_CAP:
         raise GroundSetTooLargeError(f"subset enumeration limited to {ENUM_CAP} elements, got {len(elems)}")
-    return (frozenset(c) for r in range(len(elems) + 1) for c in combinations(elems, r))
+    return _gray(f, tuple(elems), frozenset(base))
+
+
+def _gray(f: SetFunctionOracle, elems: tuple[int, ...], base: frozenset[int]):
+    gain = None if f._gains is None else f._gains(elems, base)
+    flip = [frozenset([e]) for e in elems]
+    s, mask, size, value = base, 0, 0, f._eval(base)
+    yield mask, size, value
+    for i in range(1, 1 << len(elems)):
+        bit = i & -i  # the bit Gray code i flips
+        j = bit.bit_length() - 1
+        mask ^= bit
+        if gain is None:
+            s ^= flip[j]
+            value = f._eval(s)
+        elif mask & bit:
+            value += gain(mask ^ bit, j)
+        else:
+            value -= gain(mask, j)
+        size += 1 if mask & bit else -1
+        yield mask, size, value
 
 
 def check_kind(f: SetFunctionOracle, limit: int = 8) -> bool:
@@ -159,17 +216,9 @@ def check_kind(f: SetFunctionOracle, limit: int = 8) -> bool:
     n = len(f.ground)
     if n > limit:
         raise GroundSetTooLargeError(f"kind check limited to {limit} elements, got {n}")
-    subs = list(subsets(f.ground))
-    vals = {s: f._eval(s) for s in subs}
-    for a in subs:
-        for b in subs:
-            lhs = vals[a] + vals[b]
-            rhs = vals[a | b] + vals[a & b]
-            if f.kind == SUBMODULAR and lhs < rhs:
-                return False
-            if f.kind == SUPERMODULAR and lhs > rhs:
-                return False
-    return True
+    vals = {mask: v for mask, _, v in walk(f, f.ground)}
+    sign = 1 if f.kind == SUBMODULAR else -1
+    return all(sign * (vals[a] + vals[b] - vals[a | b] - vals[a & b]) >= 0 for a in vals for b in vals)
 
 
 def check_monotone(f: SetFunctionOracle, limit: int = 8) -> bool:
@@ -177,12 +226,8 @@ def check_monotone(f: SetFunctionOracle, limit: int = 8) -> bool:
     n = len(f.ground)
     if n > limit:
         raise GroundSetTooLargeError(f"monotonicity check limited to {limit} elements, got {n}")
-    for s in subsets(f.ground):
-        fs = f._eval(s)
-        for v in f.ground:
-            if v not in s and f._eval(s | {v}) < fs:
-                return False
-    return True
+    vals = {mask: v for mask, _, v in walk(f, f.ground)}
+    return all(vals[s] <= vals[s | 1 << j] for s in vals for j in range(n))
 
 
 def check_normalized(f: SetFunctionOracle) -> bool:

@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from densefw.cli import run
+from densefw.graph import VERTEX_CAP
 from densefw.peel import SUPERGREEDY_CAP
 
 
@@ -217,6 +218,34 @@ class TestExitCodes:
         assert proc.stderr.count("\n") == 1
         assert proc.stderr.startswith("error: line 1:")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "args, code",
+        [(["density"], 3), (["decompose"], 3), (["idealloads"], 3), (["supergreedypp"], 3),
+         (["treepack"], 3), (["decompose", "--variant", "sub-del"], 0)],
+        ids=["density", "decompose", "idealloads", "supergreedypp", "treepack", "decompose-sub-del"],
+    )
+    def test_near_cap_vertex_id(self, tmp_path, args, code):
+        """An id of exactly graph.VERTEX_CAP parses, giving 10^6 + 1
+        vertices. The subset walk refuses that ground set before it builds
+        any mask, and the connectivity and Super-Greedy++ checks refuse it
+        before their work, all under the 1 GiB child limit; sub-del scans
+        the one-edge ground set. greedypp, fw-qp and verify run their full
+        work on this file, for seconds to a minute, so they are not run."""
+        path = write_graph(tmp_path, "nearcap.el", f"0 {VERTEX_CAP}\n")
+        limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        proc = subprocess.run(
+            [sys.executable, "-m", "densefw", *args, path],
+            capture_output=True, text=True, preexec_fn=limit)
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+        if code:
+            assert proc.stdout == ""
+            assert proc.stderr.count("\n") == 1
+            assert proc.stderr.startswith("error: ")
+        else:
+            assert proc.stderr == ""
+            assert json.loads(proc.stdout)["blocks"] == [{"elements": [0], "density": "1"}]
 
     def test_bad_iteration_count(self, capsys, data_dir):
         code, _, err = invoke(

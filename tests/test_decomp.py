@@ -9,6 +9,7 @@ import pytest
 
 from conftest import (
     canonical_graphs,
+    random_connected_graph,
     k4,
     p3,
     random_multigraph,
@@ -41,7 +42,8 @@ from densefw.errors import (
     GroundSetTooLargeError,
     OracleFlagError,
 )
-from densefw.setfn import SUBMODULAR, SUPERMODULAR
+from densefw.polytope import lmo
+from densefw.setfn import ENUM_CAP, SUBMODULAR, SUPERMODULAR
 
 
 def modular(ground, per_element, kind=SUPERMODULAR):
@@ -77,14 +79,15 @@ class TestDensestSet:
             densest_set_bruteforce(edge_count_fn(big_path_graph()))
 
     def test_scan_runs_in_constant_memory(self):
-        """The oracle remembers none of the 2^16 subsets the scan asks for."""
+        """Neither the oracle nor the walk keeps anything per subset: the
+        scan of all 2^20 subsets at the cap stays under 2 MiB."""
         tracemalloc.start()
         try:
-            s, d = densest_set_bruteforce(edge_count_fn(big_path_graph(16)))
+            s, d = densest_set_bruteforce(edge_count_fn(big_path_graph(ENUM_CAP)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert (s, d) == (frozenset(range(16)), Fraction(15, 16))
+        assert (s, d) == (frozenset(range(ENUM_CAP)), Fraction(ENUM_CAP - 1, ENUM_CAP))
         assert peak < 2 * 2**20
 
     def test_misdeclared_oracle_fails_loudly(self):
@@ -368,3 +371,178 @@ class TestDecompositionType:
                 {"elements": [0, 1, 2], "density": "3/2"},
             ],
         }
+
+
+# Frozenset references: the subset scans as they were before the int-mask
+# walk, one frozenset and one Fraction per subset, by increasing size.
+def ref_subsets(elems):
+    return (frozenset(c) for r in range(len(elems) + 1) for c in combinations(elems, r))
+
+
+def ref_densest(f, remaining, acc, f_acc):
+    best = None
+    union = set()
+    for s in ref_subsets(remaining):
+        if not s:
+            continue
+        d = Fraction(f._eval(s | acc) - f_acc, len(s))
+        if best is None or d > best:
+            best = d
+            union = set(s)
+        elif d == best:
+            union |= s
+    top = frozenset(union)
+    if Fraction(f._eval(top | acc) - f_acc, len(top)) != best:
+        raise OracleFlagError("maximizers not closed under union; oracle is not supermodular")
+    return top, best
+
+
+def ref_decompose_supermodular(f):
+    remaining, acc = tuple(f.ground), frozenset()
+    f_acc = f._eval(acc)
+    blocks, densities = [], []
+    while remaining:
+        top, best = ref_densest(f, remaining, acc, f_acc)
+        if densities and best >= densities[-1]:
+            raise OracleFlagError("block densities failed to decrease strictly")
+        blocks.append(tuple(sorted(top)))
+        densities.append(best)
+        acc = acc | top
+        f_acc = f._eval(acc)
+        remaining = tuple(e for e in remaining if e not in top)
+    return DenseDecomposition(CONTRACTION, tuple(blocks), tuple(densities))
+
+
+def ref_decompose_deletion(f):
+    if f.kind != SUBMODULAR:
+        raise OracleFlagError("decompose_submodular_deletion needs a submodular oracle")
+    cur = tuple(f.ground)
+    for v in cur:
+        if f._eval(frozenset([v])) <= 0:
+            raise OracleFlagError(f"deletion decomposition needs f({{{v}}}) > 0")
+    f_cur = f._eval(frozenset(cur))
+    blocks, ratios = [], []
+    while cur:
+        best, inter = None, None
+        for s in ref_subsets(cur):
+            if len(s) == len(cur):
+                continue
+            fs = f._eval(s)
+            if fs >= f_cur:
+                continue
+            ratio = Fraction(len(cur) - len(s), f_cur - fs)
+            if best is None or ratio < best:
+                best, inter = ratio, set(s)
+            elif ratio == best:
+                inter &= s
+        if best is None:
+            raise DegenerateDecompositionError("no proper subset drops the value; f(V') = f(S) everywhere")
+        core = frozenset(inter)
+        f_core = f._eval(core)
+        if f_core >= f_cur or Fraction(len(cur) - len(core), f_cur - f_core) != best:
+            raise OracleFlagError("minimizers not closed under intersection; oracle is not submodular")
+        if ratios and best <= ratios[-1]:
+            raise OracleFlagError("block ratios failed to increase strictly")
+        blocks.append(tuple(sorted(set(cur) - core)))
+        ratios.append(best)
+        cur = tuple(e for e in cur if e in core)
+        f_cur = f_core
+    return DenseDecomposition(DELETION, tuple(blocks), tuple(ratios))
+
+
+def ref_verify_base(f, x, tol=0):
+    vals = x.values if hasattr(x, "values") else tuple(x)
+    q = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in vals]
+    tol = tol if isinstance(tol, (int, Fraction)) else Fraction(tol)
+    if any(v < -tol for v in q):
+        return False
+    if abs(sum(q) - f._eval(f.ground_set)) > tol:
+        return False
+    x_of = dict(zip(f.ground, q))
+    for s in ref_subsets(f.ground):
+        if not s:
+            continue
+        xs = sum(x_of[e] for e in s)
+        fs = f._eval(s)
+        if f.kind == SUBMODULAR:
+            if xs > fs + tol:
+                return False
+        elif xs < fs - tol:
+            return False
+    return True
+
+
+def outcome(fn, *args):
+    """A result, or the type and message of what was raised instead."""
+    try:
+        return "ok", fn(*args)
+    except (OracleFlagError, DegenerateDecompositionError) as e:
+        return type(e).__name__, str(e)
+
+
+def reference_graphs(count=200):
+    """Seeded random multigraphs, half of them connected, with a parallel
+    copy of some edge in about half of them."""
+    rng = random.Random(2029)
+    for i in range(count):
+        g = (random_connected_graph(rng, n_max=7, extra_max=2) if i % 2
+             else random_multigraph(rng, n_max=7, m_max=8))
+        if rng.random() < 0.5:
+            g = MultiGraph(g.n, g.edges + (rng.choice(g.edges),))
+        yield rng, g
+
+
+class TestAgainstFrozensetReference:
+    """The int-mask scans give what the frozenset scans gave, raise where
+    they raised, and mis-flagged oracles still raise OracleFlagError."""
+
+    def test_scans_equal_the_reference(self):
+        for rng, g in reference_graphs():
+            fe, fr = edge_count_fn(g), graphic_rank_fn(g)
+            fd = dualize(fr)
+            for f in (fe, fd):
+                assert densest_set_bruteforce(f) == ref_densest(f, f.ground, frozenset(), 0)
+                assert decompose_supermodular(f) == ref_decompose_supermodular(f)
+            assert outcome(decompose_submodular_deletion, fr) == outcome(ref_decompose_deletion, fr)
+            for f in (fe, fr, fd):
+                n = len(f.ground)
+                vertex = lmo(f, [rng.randint(0, 5) for _ in range(n)])
+                star = density_vector(f)
+                nudged = list(star.values)
+                if n >= 2:
+                    nudged[0] += Fraction(1, 7)
+                    nudged[-1] -= Fraction(1, 7)
+                for x, tol in (
+                    (star, 0), (vertex, 0), (nudged, 0), (nudged, Fraction(1, 7)),
+                    ([Fraction(rng.randint(0, 6), rng.randint(1, 3)) for _ in range(n)], 0),
+                    ([float(v) + rng.uniform(-1e-3, 1e-3) for v in star.values], 1e-2),
+                ):
+                    assert verify_base(f, x, tol) == ref_verify_base(f, x, tol)
+
+    def test_misflagged_oracles_raise_as_before(self):
+        raised = 0
+        for _, g in reference_graphs(120):
+            fe, fr = edge_count_fn(g), graphic_rank_fn(g)
+            rank_as_super = SetFunctionOracle(fr.ground, SUPERMODULAR, True, True, fr._eval)
+            dual_as_sub = SetFunctionOracle(fr.ground, SUBMODULAR, True, True, dualize(fr)._eval)
+            edges_as_sub = SetFunctionOracle(fe.ground, SUBMODULAR, True, True, fe._eval)
+            got = outcome(decompose_supermodular, rank_as_super)
+            assert got == outcome(ref_decompose_supermodular, rank_as_super)
+            assert outcome(densest_set_bruteforce, rank_as_super) == outcome(
+                ref_densest, rank_as_super, rank_as_super.ground, frozenset(), 0)
+            for f in (dual_as_sub, edges_as_sub):
+                assert outcome(decompose_submodular_deletion, f) == outcome(ref_decompose_deletion, f)
+            raised += got[0] == "OracleFlagError"
+        assert raised >= 20
+
+    def test_wrong_hook_fails_loudly(self):
+        """The union re-check evaluates the frozenset, not the hook."""
+        f = edge_count_fn(triangle())
+
+        def inflated(elems, base):
+            gain = f._gains(elems, base)
+            return lambda mask, j: gain(mask, j) + (elems[j] == 0)
+
+        bad = SetFunctionOracle(f.ground, SUPERMODULAR, True, True, f._eval, inflated)
+        with pytest.raises(OracleFlagError):
+            densest_set_bruteforce(bad)

@@ -1,12 +1,14 @@
 """Set-function oracles: constructors, closure operations, exhaustive checks."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
-from conftest import multigraphs, star, three_tier, tri_pendant, triangle
+from conftest import multigraphs, random_multigraph, star, three_tier, tri_pendant, triangle
 from densefw import (
+    MultiGraph,
     SetFunctionOracle,
     contract,
     dualize,
@@ -23,7 +25,7 @@ from densefw.setfn import (
     check_kind,
     check_monotone,
     check_normalized,
-    subsets,
+    walk,
 )
 
 
@@ -212,20 +214,105 @@ class TestContractRestrictSum:
             nn_sum(1, edge_count_fn(g), 1, graphic_rank_fn(g))
 
 
+def subset_at(elems, mask):
+    return frozenset(e for j, e in enumerate(elems) if mask >> j & 1)
+
+
+def walk_matches_eval(f, elems, base=frozenset()):
+    """Every (mask, size, value) of walk(f, elems, base) against the
+    frozenset evaluation f._eval(S | base); returns the number of subsets."""
+    seen = 0
+    for mask, size, value in walk(f, elems, base):
+        s = subset_at(elems, mask)
+        assert size == len(s)
+        assert value == f._eval(s | base), (sorted(s), sorted(base))
+        seen += 1
+    return seen
+
+
+def multigraph_with_extras(rng):
+    """A seeded random multigraph plus one edge repeated 1-5 more times
+    (multiplicities up to 6 exercise every mask layer) and one isolated
+    vertex at the top index."""
+    g = random_multigraph(rng, n_max=8, m_max=10)
+    edges = g.edges + (g.edges[0],) * rng.randint(1, 5)
+    return MultiGraph(g.n + 1, edges)
+
+
 class TestSubsets:
+    """setfn.walk, the one subset enumerator."""
+
     def test_cap_raises_at_call_time(self):
+        asked = []
+        f = SetFunctionOracle(
+            tuple(range(21)), SUPERMODULAR, True, True,
+            lambda s: asked.append(s) or 0, lambda elems, base: asked.append(elems))
         with pytest.raises(GroundSetTooLargeError):
-            subsets(tuple(range(21)))
+            walk(f, f.ground)
+        with pytest.raises(GroundSetTooLargeError):
+            walk(edge_count_fn(MultiGraph(21, ((0, 20),))), tuple(range(21)))
+        assert asked == []
 
     def test_at_cap_is_accepted(self):
         assert ENUM_CAP == 20
-        subsets(tuple(range(20)))
+        f = edge_count_fn(MultiGraph(20, ((0, 19),)))
+        scan = walk(f, f.ground)
+        assert next(scan) == (0, 0, 0)
 
-    def test_by_increasing_size(self):
-        got = list(subsets((0, 1, 2)))
-        assert len(got) == 8
-        assert set(got) == set(all_subsets((0, 1, 2)))
-        assert [len(s) for s in got] == sorted(len(s) for s in got)
+    @pytest.mark.parametrize("hooked", [True, False])
+    def test_gray_order_visits_each_mask_once(self, hooked):
+        f = edge_count_fn(MultiGraph(8, ((0, 1), (0, 1), (2, 3), (5, 6))))
+        if not hooked:
+            f = SetFunctionOracle(f.ground, f.kind, True, True, f._eval)
+        assert (f._gains is not None) == hooked
+        for n in range(len(f.ground) + 1):
+            rows = list(walk(f, f.ground[:n]))
+            masks = [mask for mask, _, _ in rows]
+            assert masks[0] == 0
+            assert sorted(masks) == list(range(1 << n))
+            assert all((a ^ b).bit_count() == 1 for a, b in zip(masks, masks[1:]))
+            assert all(size == mask.bit_count() for mask, size, _ in rows)
+
+    def test_edge_count_hook_matches_eval(self):
+        rng = random.Random(89)
+        for _ in range(40):
+            g = multigraph_with_extras(rng)
+            f = edge_count_fn(g)
+            assert f._gains is not None
+            assert walk_matches_eval(f, f.ground) == 1 << g.n
+            cut = rng.sample(f.ground, rng.randint(1, g.n - 1))
+            base = frozenset(cut[: rng.randint(0, len(cut))])
+            elems = tuple(v for v in f.ground if v not in cut)
+            walk_matches_eval(f, elems, base)
+            walk_matches_eval(f, elems[::-1], base)
+
+    def test_restrict_and_contract_pass_the_hook_on(self):
+        rng = random.Random(83)
+        for _ in range(30):
+            g = multigraph_with_extras(rng)
+            f = edge_count_fn(g)
+            keep = rng.sample(f.ground, rng.randint(1, g.n))
+            r = restrict(f, keep)
+            a = rng.sample(f.ground, rng.randint(0, g.n - 1))
+            c = contract(f, a)
+            assert r._gains is not None and c._gains is not None
+            for h in (r, c):
+                walk_matches_eval(h, h.ground)
+                split = rng.randint(0, len(h.ground))
+                walk_matches_eval(h, h.ground[split:], frozenset(h.ground[:split]))
+
+    def test_oracles_without_hook_walk_one_set(self):
+        rng = random.Random(79)
+        for _ in range(30):
+            g = multigraph_with_extras(rng)
+            fr = graphic_rank_fn(g)
+            fe = edge_count_fn(g)
+            plain = SetFunctionOracle(fe.ground, SUPERMODULAR, True, True, lambda s: len(s) ** 2)
+            for h in (dualize(fr), nn_sum(Fraction(1, 3), fe, 2, plain), plain):
+                assert h._gains is None
+                walk_matches_eval(h, h.ground)
+                split = rng.randint(0, len(h.ground))
+                walk_matches_eval(h, h.ground[split:], frozenset(h.ground[:split]))
 
 
 class TestExhaustiveChecks:

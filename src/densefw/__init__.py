@@ -15,7 +15,6 @@ from .fw import (
     AVERAGING,
     STANDARD,
     ConvergenceTrace,
-    StepSchedule,
     curvature_bounds,
     delta_for_graph,
     frank_wolfe,
@@ -40,8 +39,7 @@ from .polytope import (
     BaseVector,
     Orientation,
     enumerate_base_vertices,
-    lmo_contrapolymatroid,
-    lmo_polymatroid,
+    lmo,
     optimal_orientation,
     verify_base,
 )
@@ -74,7 +72,6 @@ __all__ = [
     "PeelResult",
     "STANDARD",
     "SetFunctionOracle",
-    "StepSchedule",
     "certify_lex_optimal",
     "components",
     "contract",
@@ -94,8 +91,7 @@ __all__ = [
     "harmonic_bound",
     "ideal_loads",
     "is_connected",
-    "lmo_contrapolymatroid",
-    "lmo_polymatroid",
+    "lmo",
     "minimum_spanning_tree",
     "nn_sum",
     "optimal_orientation",

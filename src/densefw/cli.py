@@ -165,7 +165,7 @@ def _cmd_treepack(ns: argparse.Namespace, g: MultiGraph) -> int:
     if (ns.trace or ns.epsilon is not None) and g.m <= setfn.ENUM_CAP:
         ref = treepack.ideal_loads(g)
     # greedy mode is Frank-Wolfe with averaging steps whatever --schedule says
-    schedule = fw.schedule_from_name(ns.schedule) if ns.mode == "fw" else fw.AVERAGING
+    schedule = ns.schedule if ns.mode == "fw" else fw.AVERAGING
     loads, trace = treepack.fw_tree_pack(g, ns.iters, schedule=schedule, ref=ref, stop_dist=ns.epsilon)
     _run_trace(ns, trace)
     _emit(
@@ -192,7 +192,7 @@ def _cmd_fw_qp(ns: argparse.Namespace, g: MultiGraph) -> int:
     x, trace = fw.frank_wolfe(
         lmo,
         ground=tuple(range(g.n)),
-        schedule=fw.schedule_from_name(ns.schedule),
+        schedule=ns.schedule,
         iterations=ns.iters,
         ref=ref,
         exact=ns.exact,

@@ -16,8 +16,11 @@ The density vector assigns every element the density of its block
 variant, so the values telescope to f(V)); it is the minimum-norm point of
 the base polytope and the unique lexicographically extreme base.
 
-Everything here but the certificate scans subsets with `setfn.walk`, so
-ground sets are capped at `setfn.ENUM_CAP` (20) elements.
+Each block is found by one `setfn.walk`: over `contract(f, blocks so far)`
+in the contraction variant and over `restrict(f, what is left)` in the
+deletion variant, so the edge-count hook carries through every block.
+Everything here but the certificate is capped at `setfn.ENUM_CAP` (20)
+elements.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegenerateDecompositionError, OracleFlagError
-from .polytope import BaseVector, lmo
-from .setfn import SUBMODULAR, SUPERMODULAR, SetFunctionOracle, dualize, walk
+from .polytope import BaseVector, _exact, lmo
+from .setfn import SUBMODULAR, SUPERMODULAR, SetFunctionOracle, contract, dualize, restrict, walk
 
 CONTRACTION = "supermodular_contraction"
 DELETION = "submodular_deletion"
@@ -74,24 +77,24 @@ class DenseDecomposition:
         }
 
 
-def _densest(f: SetFunctionOracle, remaining, acc: frozenset[int], f_acc) -> tuple[frozenset[int], Fraction]:
-    """Maximal maximizer of (f(S | acc) - f_acc) / |S| over nonempty S within
-    `remaining`, by one walk. The union of all maximizers is returned;
-    supermodularity makes it a maximizer itself, and that is re-checked so a
-    mis-flagged oracle fails loudly instead of silently."""
+def _densest(h: SetFunctionOracle) -> tuple[frozenset[int], Fraction]:
+    """Maximal maximizer of h(S) / |S| over nonempty S, by one walk. The
+    union of all maximizers is returned; supermodularity makes it a
+    maximizer itself, and that is re-checked so a mis-flagged oracle fails
+    loudly instead of silently."""
     num, den, union = 0, 0, 0  # best density num / den, compared by cross-multiplying; den == 0 at first
-    for mask, size, value in walk(f, remaining, acc):
+    for mask, size, value in walk(h):
         if not size:
             continue
-        c = (value - f_acc) * den - num * size
+        c = value * den - num * size
         if c > 0 or not den:
-            num, den, union = value - f_acc, size, mask
+            num, den, union = value, size, mask
         elif c == 0:
             union |= mask
     assert den
     best = Fraction(num, den)
-    top = frozenset(e for j, e in enumerate(remaining) if union >> j & 1)
-    if Fraction(f._eval(top | acc) - f_acc, len(top)) != best:
+    top = frozenset(e for j, e in enumerate(h.ground) if union >> j & 1)
+    if Fraction(h._eval(top), len(top)) != best:
         raise OracleFlagError("maximizers not closed under union; oracle is not supermodular")
     return top, best
 
@@ -101,7 +104,7 @@ def densest_set_bruteforce(f: SetFunctionOracle) -> tuple[frozenset[int], Fracti
     it is the first block of `decompose_supermodular`."""
     if f.kind != SUPERMODULAR:
         raise OracleFlagError("densest_set_bruteforce needs a supermodular oracle")
-    return _densest(f, f.ground, frozenset(), 0)
+    return _densest(f)
 
 
 def decompose_supermodular(f: SetFunctionOracle) -> DenseDecomposition:
@@ -109,20 +112,16 @@ def decompose_supermodular(f: SetFunctionOracle) -> DenseDecomposition:
     contract, repeat. Densities strictly decrease."""
     if f.kind != SUPERMODULAR:
         raise OracleFlagError("decompose_supermodular needs a supermodular oracle")
-    remaining = tuple(f.ground)
     acc: frozenset[int] = frozenset()
-    f_acc = f._eval(acc)
     blocks: list[tuple[int, ...]] = []
     densities: list[Fraction] = []
-    while remaining:
-        top, best = _densest(f, remaining, acc, f_acc)
+    while len(acc) < len(f.ground):
+        top, best = _densest(contract(f, acc))
         if densities and best >= densities[-1]:
             raise OracleFlagError("block densities failed to decrease strictly")
         blocks.append(tuple(sorted(top)))
         densities.append(best)
         acc = acc | top
-        f_acc = f._eval(acc)
-        remaining = tuple(e for e in remaining if e not in top)
     return DenseDecomposition(CONTRACTION, tuple(blocks), tuple(densities))
 
 
@@ -133,8 +132,8 @@ def decompose_submodular_deletion(f: SetFunctionOracle) -> DenseDecomposition:
         raise OracleFlagError("decompose_submodular_deletion needs a submodular oracle")
     if not (f.monotone and f.normalized):
         raise OracleFlagError("deletion decomposition needs a monotone, normalized oracle")
-    cur = tuple(f.ground)
-    scan = walk(f, cur)  # raises above ENUM_CAP before any evaluation
+    cur = f.ground
+    scan = walk(f)  # raises above ENUM_CAP before any evaluation
     for v in cur:
         if f._eval(frozenset([v])) <= 0:
             raise OracleFlagError(f"deletion decomposition needs f({{{v}}}) > 0")
@@ -167,7 +166,7 @@ def decompose_submodular_deletion(f: SetFunctionOracle) -> DenseDecomposition:
         blocks.append(tuple(sorted(set(cur) - core)))
         ratios.append(best)
         cur = tuple(e for e in cur if e in core)
-        scan = walk(f, cur)
+        scan = walk(restrict(f, cur))
         f_cur = f_core
     return DenseDecomposition(DELETION, tuple(blocks), tuple(ratios))
 
@@ -187,8 +186,7 @@ def certify_lex_optimal(f: SetFunctionOracle, x) -> bool:
     greedy vertex at weights x (Edmonds), so this is one LMO call, n + 1
     oracle evaluations, in exact arithmetic. Membership of x in the
     polytope is not checked here."""
-    vals = x.values if isinstance(x, BaseVector) else tuple(x)
-    q = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in vals]
+    q = _exact(x)
     return lmo(f, q).dot(q) >= sum(v * v for v in q)
 
 

@@ -30,34 +30,8 @@ from .graph import MultiGraph
 from .polytope import BaseVector
 
 EXACT_ITERATION_CAP = 20  # exact iterations under the standard schedule, whose denominators grow
-
-
-@dataclass(frozen=True)
-class StepSchedule:
-    """Step-size rule gamma_k for the update from iterate k to k+1."""
-
-    variant: str  # "standard" or "averaging"
-
-    def __post_init__(self):
-        if self.variant not in ("standard", "averaging"):
-            raise ValueError(f"unknown schedule {self.variant!r}")
-
-    def gamma(self, k: int) -> Fraction:
-        if self.variant == "averaging":
-            return Fraction(1, k + 1)
-        return Fraction(2, k + 2)
-
-
-STANDARD = StepSchedule("standard")
-AVERAGING = StepSchedule("averaging")
-
-
-def schedule_from_name(name: str) -> StepSchedule:
-    if name == "avg":
-        return AVERAGING
-    if name == "standard":
-        return STANDARD
-    raise ValueError(f"unknown schedule name {name!r}")
+AVERAGING = "avg"  # step schedule gamma_k = 1/(k+1), the CLI's --schedule avg
+STANDARD = "standard"  # step schedule gamma_k = 2/(k+2)
 
 
 @dataclass
@@ -94,7 +68,7 @@ def frank_wolfe(
     x0: Optional[BaseVector] = None,
     *,
     ground: Optional[Sequence[int]] = None,
-    schedule: StepSchedule = AVERAGING,
+    schedule: str = AVERAGING,
     iterations: int = 100,
     ref: Optional[Sequence] = None,
     exact: bool = False,
@@ -103,13 +77,15 @@ def frank_wolfe(
 ) -> tuple[BaseVector, ConvergenceTrace]:
     """Run T iterations of Frank-Wolfe on min sum(x^2).
 
-    x0 defaults to the LMO answer at all-zero weights (`ground` supplies the
-    dimension in that case). `ref` enables the dist_ref trace column and the
+    `schedule` is AVERAGING or STANDARD. x0 defaults to the LMO answer at
+    all-zero weights (`ground` supplies the dimension in that case). `ref` enables the dist_ref trace column and the
     optional early stop at stop_dist. Exact mode needs int or Fraction LMO
     answers and returns Fraction iterates; under the standard schedule it is
     capped at EXACT_ITERATION_CAP iterations.
     """
-    averaging = schedule.variant == "averaging"
+    if schedule not in (AVERAGING, STANDARD):
+        raise ValueError(f"unknown schedule {schedule!r}")
+    averaging = schedule == AVERAGING
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     if exact and not averaging and iterations > EXACT_ITERATION_CAP:
@@ -131,7 +107,7 @@ def frank_wolfe(
     scale = 1
     trace = ConvergenceTrace()
     for k in range(1, iterations + 1):
-        gamma = schedule.gamma(k - 1)
+        gamma = Fraction(1, k) if averaging else Fraction(2, k + 1)  # gamma_{k-1}, from iterate k-1 to k
         d = lmo(q).values
         if averaging:
             q = d if k == 1 else [t + dv for t, dv in zip(q, d)]

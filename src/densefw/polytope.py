@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .errors import GroundSetTooLargeError, OracleFlagError
 from .graph import MultiGraph
-from .setfn import SUBMODULAR, SUPERMODULAR, SetFunctionOracle, walk
+from .setfn import SUBMODULAR, SetFunctionOracle, walk
 
 
 @dataclass(frozen=True)
@@ -60,21 +60,15 @@ class BaseVector:
         return dict(zip(self.ground, self.values))
 
 
-def _require_kind(f: SetFunctionOracle, kind: str, op: str):
-    if f.kind != kind:
-        raise OracleFlagError(f"{op} requires a {kind} oracle, got {f.kind}")
-    if not f.normalized:
-        raise OracleFlagError(f"{op} requires a normalized oracle")
-
-
-def _chain(f: SetFunctionOracle, walk) -> tuple:
-    """Marginals along a chain of sets: the element at each position of
-    `walk` (indices into f.ground) receives f(chain through it) minus
-    f(chain before it)."""
+def _chain(f: SetFunctionOracle, order) -> tuple:
+    """Greedy marginals for an order of positions of f.ground, lightest
+    first: each element receives f(chain through it) minus f(chain before
+    it), along prefixes of the order for submodular f and along suffixes
+    (the order reversed) for supermodular f."""
     vals: list = [0] * len(f.ground)
     acc: frozenset[int] = frozenset()
     fprev = f._eval(acc)
-    for pos in walk:
+    for pos in order if f.kind == SUBMODULAR else reversed(order):
         acc = acc | {f.ground[pos]}
         fcur = f._eval(acc)
         vals[pos] = fcur - fprev
@@ -82,51 +76,40 @@ def _chain(f: SetFunctionOracle, walk) -> tuple:
     return tuple(vals)
 
 
-def _order(f: SetFunctionOracle, w: Sequence) -> list[int]:
-    """Positions of f.ground sorted by (w_i, index) ascending."""
+def lmo(f: SetFunctionOracle, w: Sequence) -> BaseVector:
+    """Greedy vertex of the base polytope minimizing <s, w> (Edmonds).
+
+    Sort by (w_i, index) ascending and hand out marginals along prefixes
+    (submodular f) or suffixes (supermodular f: each element's marginal
+    against everything heavier), so light elements receive the large
+    marginals. Scale-invariant in w.
+    """
+    if not f.normalized:
+        raise OracleFlagError("lmo requires a normalized oracle")
     n = len(f.ground)
     if len(w) != n:
         raise ValueError(f"expected {n} weights, got {len(w)}")
-    return sorted(range(n), key=lambda i: (w[i], i))
+    return BaseVector(f.ground, _chain(f, sorted(range(n), key=lambda i: (w[i], i))))
 
 
-def lmo_polymatroid(f: SetFunctionOracle, w: Sequence) -> BaseVector:
-    """Greedy vertex of the submodular base polytope minimizing <s, w>.
-
-    Sort by (w_i, index) ascending and assign prefix marginals, so light
-    elements receive the large early marginals. Scale-invariant in w.
-    """
-    _require_kind(f, SUBMODULAR, "lmo_polymatroid")
-    return BaseVector(f.ground, _chain(f, _order(f, w)))
+VERTEX_ENUM_CAP = 7  # largest ground set enumerate_base_vertices accepts
 
 
-def lmo_contrapolymatroid(f: SetFunctionOracle, w: Sequence) -> BaseVector:
-    """Greedy vertex of the supermodular base polytope minimizing <s, w>.
-
-    Sort by (w_i, index) ascending; element at sorted position i receives
-    f(suffix from i) - f(suffix from i+1), the marginal against everything
-    that is heavier. Scale-invariant in w.
-    """
-    _require_kind(f, SUPERMODULAR, "lmo_contrapolymatroid")
-    return BaseVector(f.ground, _chain(f, reversed(_order(f, w))))
-
-
-def lmo(f: SetFunctionOracle, w: Sequence) -> BaseVector:
-    """Kind-dispatching linear minimization oracle."""
-    if f.kind == SUBMODULAR:
-        return lmo_polymatroid(f, w)
-    return lmo_contrapolymatroid(f, w)
-
-
-def enumerate_base_vertices(f: SetFunctionOracle, limit: int = 7) -> list[BaseVector]:
+def enumerate_base_vertices(f: SetFunctionOracle) -> list[BaseVector]:
     """All extreme points of the base polytope via greedy over every
     permutation, deduplicated; deterministic (sorted) output order."""
     n = len(f.ground)
-    if n > limit:
-        raise GroundSetTooLargeError(f"vertex enumeration limited to {limit} elements, got {n}")
-    sub = f.kind == SUBMODULAR
-    seen = {_chain(f, perm if sub else reversed(perm)) for perm in permutations(range(n))}
+    if n > VERTEX_ENUM_CAP:
+        raise GroundSetTooLargeError(f"vertex enumeration limited to {VERTEX_ENUM_CAP} elements, got {n}")
+    seen = {_chain(f, perm) for perm in permutations(range(n))}
     return [BaseVector(f.ground, v) for v in sorted(seen)]
+
+
+def _exact(x) -> list:
+    """Values of a BaseVector or a sequence as ints and Fractions; floats
+    become exact binary rationals."""
+    vals = x.values if isinstance(x, BaseVector) else tuple(x)
+    return [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in vals]
 
 
 def verify_base(f: SetFunctionOracle, x, tol=0) -> bool:
@@ -136,11 +119,10 @@ def verify_base(f: SetFunctionOracle, x, tol=0) -> bool:
     `tol` relaxes every constraint symmetrically for floating iterates.
     x(S) is kept along the subset walk, in ints scaled by one denominator.
     """
-    scan = walk(f, f.ground)  # raises above ENUM_CAP before any arithmetic
-    vals = x.values if isinstance(x, BaseVector) else tuple(x)
-    if len(vals) != len(f.ground):
+    scan = walk(f)  # raises above ENUM_CAP before any arithmetic
+    q = _exact(x)
+    if len(q) != len(f.ground):
         raise ValueError("vector length mismatch")
-    q = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in vals]
     tol = tol if isinstance(tol, (int, Fraction)) else Fraction(tol)
     if any(v < -tol for v in q):
         return False

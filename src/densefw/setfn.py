@@ -177,23 +177,25 @@ def nn_sum(a, f: SetFunctionOracle, b, g: SetFunctionOracle) -> SetFunctionOracl
 ENUM_CAP = 20  # largest ground set any exhaustive subset scan accepts
 
 
-def walk(f: SetFunctionOracle, elems: tuple[int, ...], base: frozenset[int] = frozenset()):
-    """Every subset S of `elems` as (mask, |S|, f(S | base)), lazily, in
-    Gray-code order from the empty set: bit j of mask stands for elems[j],
-    and consecutive masks differ in one bit. `base` must be disjoint from
-    `elems`. Memory is constant: an oracle with a `_gains` hook moves by one
-    gain per step, any other is evaluated on one frozenset changed by one
-    element per step. Above ENUM_CAP elements it raises when called, before
-    any mask is built or the oracle is asked anything."""
-    if len(elems) > ENUM_CAP:
-        raise GroundSetTooLargeError(f"subset enumeration limited to {ENUM_CAP} elements, got {len(elems)}")
-    return _gray(f, tuple(elems), frozenset(base))
+def walk(f: SetFunctionOracle):
+    """Every subset S of f.ground as (mask, |S|, f(S)), lazily, in Gray-code
+    order from the empty set: bit j of mask stands for f.ground[j], and
+    consecutive masks differ in one bit. Walk `restrict(f, ...)` or
+    `contract(f, ...)` to scan part of a ground set. Memory is constant: an
+    oracle with a `_gains` hook moves by one gain per step, any other is
+    evaluated on one frozenset changed by one element per step. Above
+    ENUM_CAP elements it raises when called, before any mask is built or the
+    oracle is asked anything."""
+    if len(f.ground) > ENUM_CAP:
+        raise GroundSetTooLargeError(f"subset enumeration limited to {ENUM_CAP} elements, got {len(f.ground)}")
+    return _gray(f)
 
 
-def _gray(f: SetFunctionOracle, elems: tuple[int, ...], base: frozenset[int]):
-    gain = None if f._gains is None else f._gains(elems, base)
+def _gray(f: SetFunctionOracle):
+    elems = f.ground
+    gain = None if f._gains is None else f._gains(elems, frozenset())
     flip = [frozenset([e]) for e in elems]
-    s, mask, size, value = base, 0, 0, f._eval(base)
+    s, mask, size, value = frozenset(), 0, 0, f._eval(frozenset())
     yield mask, size, value
     for i in range(1, 1 << len(elems)):
         bit = i & -i  # the bit Gray code i flips
@@ -210,23 +212,26 @@ def _gray(f: SetFunctionOracle, elems: tuple[int, ...], base: frozenset[int]):
         yield mask, size, value
 
 
-def check_kind(f: SetFunctionOracle, limit: int = 8) -> bool:
+CHECK_CAP = 8  # largest ground set check_kind and check_monotone accept
+
+
+def check_kind(f: SetFunctionOracle) -> bool:
     """Exhaustively verify the declared kind via
     f(A) + f(B) vs f(A|B) + f(A&B) over all subset pairs. Test-mode only."""
     n = len(f.ground)
-    if n > limit:
-        raise GroundSetTooLargeError(f"kind check limited to {limit} elements, got {n}")
-    vals = {mask: v for mask, _, v in walk(f, f.ground)}
+    if n > CHECK_CAP:
+        raise GroundSetTooLargeError(f"kind check limited to {CHECK_CAP} elements, got {n}")
+    vals = {mask: v for mask, _, v in walk(f)}
     sign = 1 if f.kind == SUBMODULAR else -1
     return all(sign * (vals[a] + vals[b] - vals[a | b] - vals[a & b]) >= 0 for a in vals for b in vals)
 
 
-def check_monotone(f: SetFunctionOracle, limit: int = 8) -> bool:
+def check_monotone(f: SetFunctionOracle) -> bool:
     """Exhaustively verify f(S) <= f(S + v) for all S, v. Test-mode only."""
     n = len(f.ground)
-    if n > limit:
-        raise GroundSetTooLargeError(f"monotonicity check limited to {limit} elements, got {n}")
-    vals = {mask: v for mask, _, v in walk(f, f.ground)}
+    if n > CHECK_CAP:
+        raise GroundSetTooLargeError(f"monotonicity check limited to {CHECK_CAP} elements, got {n}")
+    vals = {mask: v for mask, _, v in walk(f)}
     return all(vals[s] <= vals[s | 1 << j] for s in vals for j in range(n))
 
 

@@ -21,7 +21,7 @@ from typing import Optional
 
 from .decomp import density_vector
 from .errors import DisconnectedGraphError, GroundSetTooLargeError
-from .fw import AVERAGING, ConvergenceTrace, StepSchedule, frank_wolfe
+from .fw import AVERAGING, ConvergenceTrace, frank_wolfe
 from .graph import MultiGraph, is_connected, minimum_spanning_tree
 from .polytope import BaseVector
 from .setfn import graphic_rank_fn
@@ -143,7 +143,7 @@ def _mst_lmo(g: MultiGraph):
 def fw_tree_pack(
     g: MultiGraph,
     iterations: int,
-    schedule: StepSchedule = AVERAGING,
+    schedule: str = AVERAGING,
     ref=None,
     stop_dist: Optional[float] = None,
     exact: bool = False,

@@ -29,7 +29,7 @@ from densefw import (
     graphic_rank_fn,
     greedy_pp,
     ideal_loads,
-    lmo_contrapolymatroid,
+    lmo,
     optimal_orientation,
     tnw_ideal_loads,
     verify_base,
@@ -151,7 +151,7 @@ def test_criterion_04_peel_is_an_additive_approximate_oracle():
             f.marginal(u, f.ground_set - {u}) ** 2 for u in f.ground
         )
         dhat = weighted_supergreedy(f, w).dhat
-        dstar = lmo_contrapolymatroid(f, w)
+        dstar = lmo(f, w)
         if dhat.dot(w) > dstar.dot(w) + err:
             super_bad += 1
     if super_bad:
@@ -169,7 +169,7 @@ def test_criterion_05_greedy_oracle_matches_vertex_enumeration():
         if 1 <= g.m <= 6:
             oracles.append((f"{name}/rank", graphic_rank_fn(g)))
     for name, f in oracles:
-        verts = enumerate_base_vertices(f, limit=6)
+        verts = enumerate_base_vertices(f)
         bad = 0
         for _ in range(100):
             w = [Fraction(rng.randint(-30, 30), rng.randint(1, 7)) for _ in f.ground]
@@ -209,7 +209,7 @@ def test_criterion_07_density_vector_is_certified_and_lex_extreme():
                 problems.append(f"{fname}: certificate failed")
             asc = sorted(b.values)
             desc = sorted(b.values, reverse=True)
-            for v in enumerate_base_vertices(f, limit=7):
+            for v in enumerate_base_vertices(f):
                 if asc < sorted(v.values) or desc > sorted(v.values, reverse=True):
                     problems.append(f"{fname}: vertex {v.values} beats it")
                     break

@@ -360,6 +360,21 @@ class TestEntryPoints:
         assert proc.returncode == 0
         assert proc.stdout == '{"set":[0,1,2],"density":"1"}\n'
 
+    def test_experiment_script(self, data_dir, tmp_path):
+        """scripts/run_experiments.py runs on every bundled edge list."""
+        script = data_dir.parent / "scripts" / "run_experiments.py"
+        proc = subprocess.run(
+            [sys.executable, str(script), "--iters", "5", "--out-dir", str(tmp_path)],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+        assert sorted(summary) == sorted(p.stem for p in data_dir.glob("*.el"))
+
+    def test_public_names_resolve(self):
+        import densefw
+
+        assert [name for name in densefw.__all__ if not hasattr(densefw, name)] == []
+
     def test_cli_import_leaves_numpy_unloaded(self):
         proc = subprocess.run(
             [sys.executable, "-c", "import sys, densefw.cli; print('numpy' in sys.modules)"],

@@ -32,7 +32,7 @@ from densefw import (
     edge_count_fn,
     enumerate_base_vertices,
     graphic_rank_fn,
-    lmo_contrapolymatroid,
+    lmo,
     verify_base,
     verify_decomposition_equivalence,
 )
@@ -126,6 +126,24 @@ class TestContractionDecomposition:
     def test_kind_enforced(self):
         with pytest.raises(OracleFlagError):
             decompose_supermodular(graphic_rank_fn(triangle()))
+
+    def test_edge_count_hook_survives_contraction(self):
+        """Every block's walk runs on `contract(f, blocks so far)`, which
+        must keep the edge-count hook: oracle evaluations then grow with the
+        number of blocks, not with the 2^15 subsets a walk visits."""
+        k6 = [(u, v) for u in range(6) for v in range(u + 1, 6)]
+        k4 = [(u, v) for u in range(6, 10) for v in range(u + 1, 10)]
+        p5 = [(v, v + 1) for v in range(10, 14)]
+        g = MultiGraph(15, tuple(k6 + k4 + p5 + [(0, 6), (6, 10)]))
+        f = edge_count_fn(g)
+        calls = []
+        counted = SetFunctionOracle(
+            f.ground, f.kind, f.monotone, f.normalized,
+            lambda s: calls.append(s) or f._eval(s), f._gains)
+        dec = decompose_supermodular(counted)
+        assert dec.blocks == (tuple(range(6)), tuple(range(6, 10)), tuple(range(10, 15)))
+        assert dec.densities == (Fraction(5, 2), Fraction(7, 4), Fraction(1))
+        assert len(calls) <= 4 * len(dec.blocks)
 
 
 class TestDeletionDecomposition:
@@ -250,7 +268,7 @@ class TestCertificate:
         f = edge_count_fn(three_tier())
         assert len(f.ground) == 8
         assert certify_lex_optimal(f, density_vector(f))
-        assert not certify_lex_optimal(f, lmo_contrapolymatroid(f, [0] * 8))
+        assert not certify_lex_optimal(f, lmo(f, [0] * 8))
 
     def test_agrees_with_vertex_enumeration(self):
         """One greedy LMO call finds the least <x, v> over all vertices v."""

@@ -22,13 +22,13 @@ from densefw import (
     edge_count_fn,
     enumerate_base_vertices,
     graphic_rank_fn,
-    lmo_contrapolymatroid,
-    lmo_polymatroid,
+    lmo,
     optimal_orientation,
     verify_base,
 )
 from densefw.errors import GroundSetTooLargeError, OracleFlagError
-from densefw.polytope import lmo
+from densefw.polytope import VERTEX_ENUM_CAP
+from densefw.setfn import SetFunctionOracle
 
 
 class TestBaseVector:
@@ -57,42 +57,40 @@ class TestBaseVector:
 class TestPolymatroidLMO:
     def test_triangle_rank_zero_weights(self):
         f = graphic_rank_fn(triangle())
-        assert lmo_polymatroid(f, (0, 0, 0)).values == (1, 1, 0)
+        assert lmo(f, (0, 0, 0)).values == (1, 1, 0)
 
     def test_path_unique_base(self):
         f = graphic_rank_fn(p3())
         for w in ((0, 0), (5, 1), (-3, 2)):
-            assert lmo_polymatroid(f, w).values == (1, 1)
+            assert lmo(f, w).values == (1, 1)
 
     def test_triangle_rank_picks_light_tree(self):
         f = graphic_rank_fn(triangle())
-        assert lmo_polymatroid(f, (3, 1, 2)).values == (0, 1, 1)
+        assert lmo(f, (3, 1, 2)).values == (0, 1, 1)
 
-    def test_kind_enforced(self):
-        with pytest.raises(OracleFlagError):
-            lmo_polymatroid(edge_count_fn(triangle()), (0, 0, 0))
+    def test_unnormalized_oracle_rejected(self):
+        f = graphic_rank_fn(triangle())
+        shifted = SetFunctionOracle(f.ground, f.kind, True, False, lambda s: f._eval(s) + 1)
+        with pytest.raises(OracleFlagError, match="^lmo requires a normalized oracle$"):
+            lmo(shifted, (0, 0, 0))
 
     def test_weight_length_checked(self):
         with pytest.raises(ValueError):
-            lmo_polymatroid(graphic_rank_fn(triangle()), (0, 0))
+            lmo(graphic_rank_fn(triangle()), (0, 0))
 
 
 class TestContrapolymatroidLMO:
     def test_single_edge_goes_to_lighter_vertex(self):
         f = edge_count_fn(single_edge())
-        assert lmo_contrapolymatroid(f, (1, 2)).values == (1, 0)
+        assert lmo(f, (1, 2)).values == (1, 0)
 
     def test_triangle_zero_weights(self):
         f = edge_count_fn(triangle())
-        assert lmo_contrapolymatroid(f, (0, 0, 0)).values == (2, 1, 0)
+        assert lmo(f, (0, 0, 0)).values == (2, 1, 0)
 
     def test_star_light_center_absorbs_everything(self):
         f = edge_count_fn(star())
-        assert lmo_contrapolymatroid(f, (0, 1, 1, 1)).values == (3, 0, 0, 0)
-
-    def test_kind_enforced(self):
-        with pytest.raises(OracleFlagError):
-            lmo_contrapolymatroid(graphic_rank_fn(triangle()), (0, 0, 0))
+        assert lmo(f, (0, 1, 1, 1)).values == (3, 0, 0, 0)
 
     def test_dispatcher_matches_kind(self):
         g = triangle()
@@ -110,10 +108,10 @@ class TestLMOProperties:
             wv = [rng.randint(0, 9) for _ in range(g.n)]
             we = [rng.randint(0, 9) for _ in range(g.m)]
             for k in (2, 7, 100):
-                assert lmo_contrapolymatroid(fe, [k * x for x in wv]).values == \
-                    lmo_contrapolymatroid(fe, wv).values
-                assert lmo_polymatroid(fr, [k * x for x in we]).values == \
-                    lmo_polymatroid(fr, we).values
+                assert lmo(fe, [k * x for x in wv]).values == \
+                    lmo(fe, wv).values
+                assert lmo(fr, [k * x for x in we]).values == \
+                    lmo(fr, we).values
 
     @settings(deadline=None, max_examples=40)
     @given(multigraphs(n_max=6, m_max=8))
@@ -124,18 +122,18 @@ class TestLMOProperties:
         for _ in range(3):
             wv = [rng.randint(-5, 9) for _ in range(g.n)]
             we = [rng.randint(-5, 9) for _ in range(g.m)]
-            assert verify_base(fe, lmo_contrapolymatroid(fe, wv))
-            assert verify_base(fr, lmo_polymatroid(fr, we))
+            assert verify_base(fe, lmo(fe, wv))
+            assert verify_base(fr, lmo(fr, we))
 
     def test_minimizes_over_enumerated_vertices(self):
         rng = random.Random(29)
         for _ in range(10):
             g = random_multigraph(rng, n_max=5, m_max=6)
             fe = edge_count_fn(g)
-            verts = enumerate_base_vertices(fe, limit=6)
+            verts = enumerate_base_vertices(fe)
             for _ in range(10):
                 w = [Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(g.n)]
-                assert lmo_contrapolymatroid(fe, w).dot(w) == min(v.dot(w) for v in verts)
+                assert lmo(fe, w).dot(w) == min(v.dot(w) for v in verts)
 
 
 class TestEnumerateBaseVertices:
@@ -151,7 +149,8 @@ class TestEnumerateBaseVertices:
         assert verts == {(1, 0), (0, 1)}
 
     def test_limit_enforced(self):
-        with pytest.raises(GroundSetTooLargeError):
+        assert VERTEX_ENUM_CAP == 7
+        with pytest.raises(GroundSetTooLargeError, match="^vertex enumeration limited to 7 elements, got 8$"):
             enumerate_base_vertices(edge_count_fn(three_tier()))
 
 
@@ -261,4 +260,4 @@ class TestOptimalOrientation:
             g = random_multigraph(rng)
             w = [rng.randint(0, 12) for _ in range(g.n)]
             _, load = optimal_orientation(g, w)
-            assert load.values == lmo_contrapolymatroid(edge_count_fn(g), w).values
+            assert load.values == lmo(edge_count_fn(g), w).values

@@ -19,6 +19,7 @@ from densefw import (
 )
 from densefw.errors import GroundSetTooLargeError, OracleFlagError
 from densefw.setfn import (
+    CHECK_CAP,
     ENUM_CAP,
     SUBMODULAR,
     SUPERMODULAR,
@@ -218,16 +219,29 @@ def subset_at(elems, mask):
     return frozenset(e for j, e in enumerate(elems) if mask >> j & 1)
 
 
-def walk_matches_eval(f, elems, base=frozenset()):
-    """Every (mask, size, value) of walk(f, elems, base) against the
-    frozenset evaluation f._eval(S | base); returns the number of subsets."""
+def walk_matches_eval(h, ref=None):
+    """Every (mask, size, value) of walk(h) against the frozenset
+    evaluation ref(S), by default h._eval(S); returns the number of subsets."""
+    ref = ref or h._eval
     seen = 0
-    for mask, size, value in walk(f, elems, base):
-        s = subset_at(elems, mask)
+    for mask, size, value in walk(h):
+        s = subset_at(h.ground, mask)
         assert size == len(s)
-        assert value == f._eval(s | base), (sorted(s), sorted(base))
+        assert value == ref(s), sorted(s)
         seen += 1
     return seen
+
+
+def part_of(f, elems, base):
+    """walk(part_of(f, elems, base)) scans the subsets S of elems with
+    values f(S | base) - f(base), and a reference for those values."""
+    h = restrict(contract(f, base), elems)
+    return h, lambda s: f._eval(s | base) - f._eval(base)
+
+
+def reordered(h, ground):
+    """h with its ground set listed in another order: same _eval and _gains."""
+    return SetFunctionOracle(ground, h.kind, h.monotone, h.normalized, h._eval, h._gains)
 
 
 def multigraph_with_extras(rng):
@@ -248,15 +262,15 @@ class TestSubsets:
             tuple(range(21)), SUPERMODULAR, True, True,
             lambda s: asked.append(s) or 0, lambda elems, base: asked.append(elems))
         with pytest.raises(GroundSetTooLargeError):
-            walk(f, f.ground)
+            walk(f)
         with pytest.raises(GroundSetTooLargeError):
-            walk(edge_count_fn(MultiGraph(21, ((0, 20),))), tuple(range(21)))
+            walk(edge_count_fn(MultiGraph(21, ((0, 20),))))
         assert asked == []
 
     def test_at_cap_is_accepted(self):
         assert ENUM_CAP == 20
         f = edge_count_fn(MultiGraph(20, ((0, 19),)))
-        scan = walk(f, f.ground)
+        scan = walk(f)
         assert next(scan) == (0, 0, 0)
 
     @pytest.mark.parametrize("hooked", [True, False])
@@ -266,7 +280,7 @@ class TestSubsets:
             f = SetFunctionOracle(f.ground, f.kind, True, True, f._eval)
         assert (f._gains is not None) == hooked
         for n in range(len(f.ground) + 1):
-            rows = list(walk(f, f.ground[:n]))
+            rows = list(walk(restrict(f, f.ground[:n])))
             masks = [mask for mask, _, _ in rows]
             assert masks[0] == 0
             assert sorted(masks) == list(range(1 << n))
@@ -279,12 +293,14 @@ class TestSubsets:
             g = multigraph_with_extras(rng)
             f = edge_count_fn(g)
             assert f._gains is not None
-            assert walk_matches_eval(f, f.ground) == 1 << g.n
+            assert walk_matches_eval(f) == 1 << g.n
             cut = rng.sample(f.ground, rng.randint(1, g.n - 1))
             base = frozenset(cut[: rng.randint(0, len(cut))])
             elems = tuple(v for v in f.ground if v not in cut)
-            walk_matches_eval(f, elems, base)
-            walk_matches_eval(f, elems[::-1], base)
+            h, ref = part_of(f, elems, base)
+            assert h._gains is not None and h.ground == elems
+            walk_matches_eval(h, ref)
+            walk_matches_eval(reordered(h, elems[::-1]), ref)
 
     def test_restrict_and_contract_pass_the_hook_on(self):
         rng = random.Random(83)
@@ -297,9 +313,11 @@ class TestSubsets:
             c = contract(f, a)
             assert r._gains is not None and c._gains is not None
             for h in (r, c):
-                walk_matches_eval(h, h.ground)
+                walk_matches_eval(h)
                 split = rng.randint(0, len(h.ground))
-                walk_matches_eval(h, h.ground[split:], frozenset(h.ground[:split]))
+                part, ref = part_of(h, h.ground[split:], frozenset(h.ground[:split]))
+                assert part._gains is not None
+                walk_matches_eval(part, ref)
 
     def test_oracles_without_hook_walk_one_set(self):
         rng = random.Random(79)
@@ -310,9 +328,12 @@ class TestSubsets:
             plain = SetFunctionOracle(fe.ground, SUPERMODULAR, True, True, lambda s: len(s) ** 2)
             for h in (dualize(fr), nn_sum(Fraction(1, 3), fe, 2, plain), plain):
                 assert h._gains is None
-                walk_matches_eval(h, h.ground)
+                walk_matches_eval(h)
                 split = rng.randint(0, len(h.ground))
-                walk_matches_eval(h, h.ground[split:], frozenset(h.ground[:split]))
+                part, ref = part_of(h, h.ground[split:], frozenset(h.ground[:split]))
+                assert part._gains is None
+                walk_matches_eval(part, ref)
+                walk_matches_eval(reordered(part, part.ground[::-1]), ref)
 
 
 class TestExhaustiveChecks:
@@ -349,9 +370,10 @@ class TestExhaustiveChecks:
 
         nine_cycle = MultiGraph(9, tuple((i, (i + 1) % 9) for i in range(9)))
         big = edge_count_fn(nine_cycle)
-        with pytest.raises(GroundSetTooLargeError):
+        assert CHECK_CAP == 8
+        with pytest.raises(GroundSetTooLargeError, match="^kind check limited to 8 elements, got 9$"):
             check_kind(big)
-        with pytest.raises(GroundSetTooLargeError):
+        with pytest.raises(GroundSetTooLargeError, match="^monotonicity check limited to 8 elements, got 9$"):
             check_monotone(big)
 
     @settings(deadline=None, max_examples=30)

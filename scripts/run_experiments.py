@@ -69,7 +69,7 @@ def run_one(name, g, out_dir: Path, iters: int) -> dict:
         info["peel_final_dist"] = res.trace.records[-1].dist_ref
 
     lmo = lambda w: optimal_orientation(g, w)[1]
-    _, tr = frank_wolfe(lmo, ground=range(g.n), schedule=AVERAGING,
+    _, tr = frank_wolfe(lmo, lmo([0] * g.n).values, schedule=AVERAGING,
                         iterations=iters, ref=ref)
     tr.write_csv(out_dir / f"{name}.fwqp.csv")
     if ref is not None:

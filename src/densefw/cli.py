@@ -18,13 +18,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import checks, decomp, fw, peel, polytope, setfn, treepack
-from .errors import (
-    DegenerateDecompositionError,
-    DisconnectedGraphError,
-    GraphParseError,
-    GroundSetTooLargeError,
-    OracleFlagError,
-)
+from .errors import GraphParseError
 from .graph import MultiGraph, parse_edge_list
 
 EXIT_OK = 0
@@ -191,7 +185,7 @@ def _cmd_fw_qp(ns: argparse.Namespace, g: MultiGraph) -> int:
         raise ValueError(f"exact mode supports at most {fw.EXACT_ITERATION_CAP} iterations")
     x, trace = fw.frank_wolfe(
         lmo,
-        ground=tuple(range(g.n)),
+        lmo([0] * g.n).values,
         schedule=ns.schedule,
         iterations=ns.iters,
         ref=ref,
@@ -253,13 +247,7 @@ def run(argv: Optional[list[str]] = None) -> int:
     except (GraphParseError, OSError, UnicodeDecodeError) as e:  # the last is a ValueError: not exit 3
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    except (
-        DisconnectedGraphError,
-        GroundSetTooLargeError,
-        OracleFlagError,
-        DegenerateDecompositionError,
-        ValueError,
-    ) as e:
+    except ValueError as e:  # the .errors classes behind exit 3 all subclass ValueError
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE
 

@@ -51,12 +51,6 @@ class DenseDecomposition:
         if len(self.blocks) != len(self.densities):
             raise ValueError("blocks/densities length mismatch")
 
-    def element_block(self, v: int) -> int:
-        for i, b in enumerate(self.blocks):
-            if v in b:
-                return i
-        raise KeyError(v)
-
     def vector(self, ground: tuple[int, ...]) -> BaseVector:
         """Density vector over `ground`: each element gets its block's
         density (contraction) or the reciprocal of its block's ratio

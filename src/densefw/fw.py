@@ -5,13 +5,14 @@ The gradient of the objective is 2x, and linear minimization oracles are
 scale-invariant, so the LMO may be queried at any positive multiple of the
 current iterate. Two step schedules are supported: the standard 2/(k+2)
 rule, which queries at the iterate, and the averaging rule 1/(k+1), under
-which the iterate b^(k) is exactly the mean of the first k LMO answers (the
-starting point only seeds the first query). The averaging path keeps the
-running sum of the answers in their own number type, queries the LMO at
-that sum and divides only for output, so integer answers stay exactly
-countable and (k+1) b^(k+1) = k b^(k) + d^(k+1) is literal. For a peeling
-LMO, querying at the cumulative loads is the Greedy++ rule, so greedy
-tree packing, Greedy++ and Super-Greedy++ all run on `frank_wolfe`.
+which the iterate b^(k) is exactly the mean of the first k LMO answers.
+Both take the full step gamma_0 = 1 first, so a run starts at its first
+LMO query: only the answer to it enters an iterate. The averaging path
+keeps the running sum of the answers in their own number type, queries
+the LMO at that sum and divides only for output, so integer answers stay
+exactly countable and (k+1) b^(k+1) = k b^(k) + d^(k+1) is literal. For a
+peeling LMO, querying at the cumulative loads is the Greedy++ rule, so
+greedy tree packing, Greedy++ and Super-Greedy++ all run on `frank_wolfe`.
 
 `harmonic_bound` is the objective-gap guarantee for averaging steps with a
 delta-approximate LMO: 2 * C * (1 + delta) * H_{k+1} / (k+1). Curvature C
@@ -40,7 +41,6 @@ class TraceRecord:
     objective: float
     gamma: float
     dist_ref: Optional[float]
-    iterate: Optional[tuple] = None
 
 
 @dataclass
@@ -65,23 +65,22 @@ class ConvergenceTrace:
 
 def frank_wolfe(
     lmo: Callable[[Sequence], BaseVector],
-    x0: Optional[BaseVector] = None,
+    w0: Sequence,
     *,
-    ground: Optional[Sequence[int]] = None,
     schedule: str = AVERAGING,
     iterations: int = 100,
     ref: Optional[Sequence] = None,
     exact: bool = False,
     stop_dist: Optional[float] = None,
-    keep_iterates: bool = False,
 ) -> tuple[BaseVector, ConvergenceTrace]:
     """Run T iterations of Frank-Wolfe on min sum(x^2).
 
-    `schedule` is AVERAGING or STANDARD. x0 defaults to the LMO answer at
-    all-zero weights (`ground` supplies the dimension in that case). `ref` enables the dist_ref trace column and the
+    `schedule` is AVERAGING or STANDARD. The LMO is queried at w0, then at
+    k * b^(k) (AVERAGING) or b^(k) (STANDARD); the result's ground is the
+    ground of its answers. `ref` enables the dist_ref trace column and the
     optional early stop at stop_dist. Exact mode needs int or Fraction LMO
-    answers and returns Fraction iterates; under the standard schedule it is
-    capped at EXACT_ITERATION_CAP iterations.
+    answers and returns Fraction iterates; under the standard schedule it
+    is capped at EXACT_ITERATION_CAP iterations.
     """
     if schedule not in (AVERAGING, STANDARD):
         raise ValueError(f"unknown schedule {schedule!r}")
@@ -90,31 +89,24 @@ def frank_wolfe(
         raise ValueError("iterations must be >= 1")
     if exact and not averaging and iterations > EXACT_ITERATION_CAP:
         raise ValueError(f"exact mode supports at most {EXACT_ITERATION_CAP} iterations")
-    if x0 is None:
-        if ground is None:
-            raise ValueError("need x0 or ground to start")
-        ground = tuple(ground)
-        x0 = lmo([0] * len(ground))
-    else:
-        ground = tuple(x0.ground)
     refv = None if ref is None else [float(r) for r in (ref.values if isinstance(ref, BaseVector) else ref)]
 
-    conv = Fraction if exact else float
-    # q is where the LMO is queried. Averaging: x0, then the running sum of
-    # the answers, in their own number type; the iterate is q / k.
+    # q is where the LMO is queried. Averaging: the running sum of the
+    # answers, in their own number type; the iterate is q / k.
     # Standard: the iterate itself (scale 1).
-    q = x0.values if averaging else [conv(v) for v in x0.values]
-    scale = 1
+    q = w0
     trace = ConvergenceTrace()
     for k in range(1, iterations + 1):
         gamma = Fraction(1, k) if averaging else Fraction(2, k + 1)  # gamma_{k-1}, from iterate k-1 to k
-        d = lmo(q).values
-        if averaging:
-            q = d if k == 1 else [t + dv for t, dv in zip(q, d)]
-            scale = k
+        answer = lmo(q)
+        if k == 1:
+            q = answer.values  # gamma_0 = 1 under either schedule
+        elif averaging:
+            q = [t + dv for t, dv in zip(q, answer.values)]
         else:
-            g = conv(gamma)
-            q = [(1 - g) * t + g * dv for t, dv in zip(q, d)]
+            g = gamma if exact else float(gamma)
+            q = [(1 - g) * t + g * dv for t, dv in zip(q, answer.values)]
+        scale = k if averaging else 1
         if exact:
             objective = float(sum(t * t for t in q) / (scale * scale))
             x = [float(t / scale) for t in q] if refv is not None else None
@@ -126,13 +118,10 @@ def frank_wolfe(
         dist = None
         if refv is not None:
             dist = math.sqrt(sum((v - r) ** 2 for v, r in zip(x, refv)))
-        iterate = None
-        if keep_iterates:
-            iterate = tuple(Fraction(t, scale) for t in q) if exact else tuple(x)
-        trace.records.append(TraceRecord(k, objective, float(gamma), dist, iterate))
+        trace.records.append(TraceRecord(k, objective, float(gamma), dist))
         if stop_dist is not None and dist is not None and dist <= stop_dist:
             break
-    return BaseVector(ground, tuple(Fraction(t, scale) for t in q) if exact else x), trace
+    return BaseVector(answer.ground, tuple(Fraction(t, scale) for t in q) if exact else x), trace
 
 
 _HARMONIC = [Fraction(0)]  # exact H_0, H_1, ..., grown on demand

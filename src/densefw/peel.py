@@ -24,11 +24,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import GroundSetTooLargeError
+from .errors import GroundSetTooLargeError, OracleFlagError
 from .fw import ConvergenceTrace, frank_wolfe
 from .graph import MultiGraph
 from .polytope import BaseVector
-from .setfn import SetFunctionOracle
+from .setfn import SUPERMODULAR, SetFunctionOracle
 
 SUPERGREEDY_CAP = 200  # largest ground set Super-Greedy++ accepts: one round makes O(n^2) oracle calls
 
@@ -84,8 +84,8 @@ def weighted_supergreedy(f: SetFunctionOracle, w: Sequence) -> PeelResult:
 def _supergreedy(f: SetFunctionOracle, w: Sequence, cache: dict) -> PeelResult:
     """weighted_supergreedy with f's values kept in `cache`, keyed by
     bitmask over positions in f.ground."""
-    if f.kind != "supermodular":
-        raise ValueError("weighted_supergreedy needs a supermodular oracle")
+    if f.kind != SUPERMODULAR:
+        raise OracleFlagError("weighted_supergreedy needs a supermodular oracle")
     ground = list(f.ground)
     n = len(ground)
     if n > SUPERGREEDY_CAP:
@@ -131,7 +131,6 @@ class GreedyPPResult:
     best_set/best_density: densest suffix seen anywhere, exact arithmetic,
     first strict improvement wins ties. x: the final averaged iterate b^(T)
     as exact rationals (iterations * x is the cumulative marginal vector).
-    With keep_iterates, each trace record's `iterate` holds b^(k).
     """
 
     best_set: frozenset[int]
@@ -183,16 +182,11 @@ def greedy_pp(
     iterations: int,
     ref=None,
     stop_dist: Optional[float] = None,
-    keep_iterates: bool = False,
 ) -> GreedyPPResult:
     """Iterated degree peeling with cumulative integer weights. One
     iteration is plain unweighted peeling; the densest suffix across all
     iterations is the reported set."""
-    ground = tuple(range(g.n))
-    lmo = _DensestSuffixLMO(ground, lambda w: weighted_greedy(g, w))
-    x, trace = frank_wolfe(lmo, BaseVector(ground, (0,) * g.n), exact=True, iterations=iterations,
-                           ref=ref, stop_dist=stop_dist, keep_iterates=keep_iterates)
-    return GreedyPPResult(lmo.best_set, lmo.best_density, x, len(trace.records), trace)
+    return _peel_pp(tuple(range(g.n)), lambda w: weighted_greedy(g, w), iterations, ref, stop_dist)
 
 
 def supergreedy_pp(
@@ -200,12 +194,15 @@ def supergreedy_pp(
     iterations: int,
     ref=None,
     stop_dist: Optional[float] = None,
-    keep_iterates: bool = False,
 ) -> GreedyPPResult:
     """Iterated supermodular peeling with cumulative rational weights; one
     value cache serves the whole run, as rounds repeat sets once the order settles."""
     cache: dict = {}
-    lmo = _DensestSuffixLMO(f.ground, lambda w: _supergreedy(f, w, cache))
-    x, trace = frank_wolfe(lmo, BaseVector(f.ground, (0,) * len(f.ground)), exact=True, iterations=iterations,
-                           ref=ref, stop_dist=stop_dist, keep_iterates=keep_iterates)
+    return _peel_pp(f.ground, lambda w: _supergreedy(f, w, cache), iterations, ref, stop_dist)
+
+
+def _peel_pp(ground, peel_once, iterations, ref, stop_dist) -> GreedyPPResult:
+    """Exact averaging Frank-Wolfe from zero weights with peel_once as the LMO."""
+    lmo = _DensestSuffixLMO(ground, peel_once)
+    x, trace = frank_wolfe(lmo, (0,) * len(ground), exact=True, iterations=iterations, ref=ref, stop_dist=stop_dist)
     return GreedyPPResult(lmo.best_set, lmo.best_density, x, len(trace.records), trace)

@@ -41,23 +41,13 @@ class BaseVector:
         if len(self.ground) != len(self.values):
             raise ValueError("ground/values length mismatch")
 
-    def value_sum(self):
-        return sum(self.values)
-
     def dot(self, w: Sequence):
         if len(w) != len(self.values):
             raise ValueError("weight length mismatch")
         return sum(x * y for x, y in zip(self.values, w))
 
-    def distance(self, other) -> float:
-        ov = other.values if isinstance(other, BaseVector) else other
-        return math.sqrt(sum((float(a) - float(b)) ** 2 for a, b in zip(self.values, ov)))
-
     def get(self, element: int):
         return self.values[self.ground.index(element)]
-
-    def as_dict(self) -> dict[int, object]:
-        return dict(zip(self.ground, self.values))
 
 
 def _chain(f: SetFunctionOracle, order) -> tuple:

@@ -146,21 +146,14 @@ def fw_tree_pack(
     schedule: str = AVERAGING,
     ref=None,
     stop_dist: Optional[float] = None,
-    exact: bool = False,
 ) -> tuple[BaseVector, ConvergenceTrace]:
     """Frank-Wolfe on the spanning tree base polytope with the MST oracle.
 
     With the default averaging schedule this is greedy tree packing, and
-    k * load^(k) is exactly the vector of tree counts. The starting point is the MST under all-zero weights (smallest edge
-    indices win), which the first step immediately averages away.
+    k * load^(k) is exactly the vector of tree counts. The first query is
+    at the MST under all-zero weights (smallest edge indices win).
     """
     _require_connected(g)
-    return frank_wolfe(
-        _mst_lmo(g),
-        ground=tuple(range(g.m)),
-        schedule=schedule,
-        iterations=iterations,
-        ref=ref,
-        stop_dist=stop_dist,
-        exact=exact,
-    )
+    lmo = _mst_lmo(g)
+    return frank_wolfe(lmo, lmo([0] * g.m).values, schedule=schedule, iterations=iterations,
+                       ref=ref, stop_dist=stop_dist)

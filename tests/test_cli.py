@@ -370,6 +370,15 @@ class TestEntryPoints:
         summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
         assert sorted(summary) == sorted(p.stem for p in data_dir.glob("*.el"))
 
+    def test_readme_library_example(self, data_dir, capsys):
+        """README's Library block runs as written."""
+        readme = (data_dir.parent / "README.md").read_text(encoding="utf-8")
+        block = readme.split("## Library", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(block, "README.md", "exec"), {})
+        best, dist = capsys.readouterr().out.splitlines()
+        assert best == "frozenset({0, 1, 2, 3}) 3/2"
+        assert float(dist) <= 0.05
+
     def test_public_names_resolve(self):
         import densefw
 

@@ -372,14 +372,6 @@ class TestDecompositionType:
         with pytest.raises(ValueError):
             DenseDecomposition(CONTRACTION, ((0,),), ())
 
-    def test_element_block(self):
-        dec = decompose_supermodular(edge_count_fn(three_tier()))
-        assert dec.element_block(0) == 0
-        assert dec.element_block(5) == 1
-        assert dec.element_block(7) == 2
-        with pytest.raises(KeyError):
-            dec.element_block(9)
-
     def test_json_shape(self):
         dec = decompose_submodular_deletion(graphic_rank_fn(tri_pendant()))
         assert dec.to_json_dict() == {

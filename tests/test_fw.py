@@ -30,11 +30,18 @@ def orientation_lmo(g):
     return lambda w: optimal_orientation(g, w)[1]
 
 
+def fw_qp(g, **kw):
+    """frank_wolfe on the orientation polytope, first queried where the
+    fw-qp command queries it: at the LMO's answer to all-zero weights."""
+    lmo = orientation_lmo(g)
+    return frank_wolfe(lmo, lmo((0,) * g.n).values, **kw)
+
+
 def gammas(schedule, iterations=4):
     """The gamma column of a trace: record k holds the step from iterate
     k-1 to k, gamma_{k-1}."""
     point = BaseVector((0,), (1,))
-    _, trace = frank_wolfe(lambda w: point, ground=(0,), schedule=schedule, iterations=iterations)
+    _, trace = frank_wolfe(lambda w: point, (0,), schedule=schedule, iterations=iterations)
     return [rec.gamma for rec in trace.records]
 
 
@@ -63,43 +70,39 @@ class TestStepSchedule:
 class TestFrankWolfe:
     def test_singleton_polytope_is_a_fixed_point(self):
         f = graphic_rank_fn(p3())
-        x, trace = frank_wolfe(lambda w: lmo(f, w), ground=(0, 1), iterations=5, exact=True, keep_iterates=True)
-        assert x.values == (1, 1)
-        for rec in trace.records:
-            assert rec.iterate == (1, 1)
-            assert rec.objective == 2.0
+        for k in range(1, 6):
+            x, trace = frank_wolfe(lambda w: lmo(f, w), (0, 0), iterations=k, exact=True)
+            assert x.values == (1, 1)
+            assert all(rec.objective == 2.0 for rec in trace.records)
 
     def test_single_edge_two_exact_steps_reach_the_middle(self):
         g = single_edge()
-        x0 = BaseVector((0, 1), (1, 0))
-        x, trace = frank_wolfe(
-            orientation_lmo(g), x0, iterations=2, exact=True, keep_iterates=True
-        )
-        assert trace.records[0].iterate == (0, 1)
+        first, _ = frank_wolfe(orientation_lmo(g), (1, 0), iterations=1, exact=True)
+        assert first.values == (0, 1)
+        x, _ = frank_wolfe(orientation_lmo(g), (1, 0), iterations=2, exact=True)
         assert x.values == (Fraction(1, 2), Fraction(1, 2))
 
     def test_default_start_is_lmo_at_zero(self):
         g = triangle()
-        x, trace = frank_wolfe(orientation_lmo(g), ground=(0, 1, 2), iterations=1, exact=True)
-        # the all-zero query returns (2,1,0); one averaging step replaces it
-        # with the LMO answer at those weights
+        x, trace = fw_qp(g, iterations=1, exact=True)
+        # the all-zero query returns (2,1,0); the full first step moves to
+        # the LMO answer at those weights
         assert x.values == optimal_orientation(g, (2, 1, 0))[1].values
 
     def test_averaging_mean_identity(self):
         g = tri_pendant()
         lmo = orientation_lmo(g)
-        x, trace = frank_wolfe(lmo, ground=tuple(range(4)), iterations=12, exact=True,
-                               keep_iterates=True)
-        # replay: k * b^(k) must equal the sum of the first k oracle answers,
-        # and (k+1) b^(k+1) = k b^(k) + d^(k+1)
+        w0 = lmo((0,) * 4).values
+        # replay: k * b^(k), the .x of a k-iteration run times k, must equal
+        # the sum of the first k oracle answers, so (k+1) b^(k+1) = k b^(k) + d^(k+1)
         answers = []
-        cur = optimal_orientation(g, (0,) * 4)[1].values
-        for rec in trace.records:
-            d = lmo(cur).values
-            answers.append(d)
+        cur = w0
+        for k in range(1, 13):
+            x, _ = frank_wolfe(lmo, w0, iterations=k, exact=True)
+            answers.append(lmo(cur).values)
             total = tuple(sum(col) for col in zip(*answers))
-            assert tuple(v * rec.k for v in rec.iterate) == total
-            cur = rec.iterate
+            assert tuple(v * k for v in x.values) == total
+            cur = total
 
     def test_averaging_queries_x0_then_the_running_sums(self):
         g = tri_pendant()
@@ -110,93 +113,97 @@ class TestFrankWolfe:
             queries.append(tuple(w))
             return inner(w)
 
-        x0 = BaseVector(tuple(range(4)), (1, 1, 2, 0))
+        w0 = (1, 1, 2, 0)
         for exact in (True, False):
             queries.clear()
-            frank_wolfe(spy, x0, iterations=6, exact=exact)
-            assert queries[0] == x0.values
+            frank_wolfe(spy, w0, iterations=6, exact=exact)
+            assert queries[0] == w0
             total = (0,) * 4
             for k in range(1, 6):
                 total = tuple(t + d for t, d in zip(total, inner(queries[k - 1]).values))
                 assert queries[k] == total
                 assert all(type(v) is int for v in queries[k])
 
+    def test_standard_queries_w0_then_the_iterates(self):
+        g = tri_pendant()
+        inner = orientation_lmo(g)
+        queries = []
+
+        def spy(w):
+            queries.append(tuple(w))
+            return BaseVector((10, 11, 12, 13), inner(w).values)
+
+        w0 = (1, 1, 2, 0)
+        for exact in (True, False):
+            queries.clear()
+            x, _ = frank_wolfe(spy, w0, schedule=STANDARD, iterations=6, exact=exact)
+            assert x.ground == (10, 11, 12, 13)  # the ground of the LMO's answers
+            assert queries[0] == w0
+            for k in range(1, 6):
+                xk, _ = frank_wolfe(inner, w0, schedule=STANDARD, iterations=k, exact=exact)
+                assert queries[k] == xk.values
+
     def test_exact_averaging_runs_past_the_standard_cap(self):
         g = tri_pendant()
         lmo = orientation_lmo(g)
         iters = 3 * EXACT_ITERATION_CAP
-        x, trace = frank_wolfe(lmo, ground=tuple(range(4)), iterations=iters, exact=True,
-                               keep_iterates=True)
+        x, trace = fw_qp(g, iterations=iters, exact=True)
         assert len(trace.records) == iters
         total = [0] * 4
-        cur = optimal_orientation(g, (0,) * 4)[1].values
+        cur = lmo((0,) * 4).values
         for rec in trace.records:
             total = [t + d for t, d in zip(total, lmo(cur).values)]
-            assert rec.iterate == tuple(Fraction(t, rec.k) for t in total)
             assert rec.objective == float(Fraction(sum(t * t for t in total), rec.k ** 2))
             cur = total
-        assert x.values == trace.records[-1].iterate
+        assert x.values == tuple(Fraction(t, iters) for t in total)
         assert all(type(v) is Fraction for v in x.values)
 
     def test_exact_iterates_stay_in_the_polytope(self):
         for g in (triangle(), tri_pendant(), k4()):
             f = edge_count_fn(g)
-            _, trace = frank_wolfe(
-                orientation_lmo(g), ground=tuple(range(g.n)), iterations=20,
-                exact=True, keep_iterates=True,
-            )
-            for rec in trace.records:
-                assert verify_base(f, rec.iterate)
+            for k in range(1, 21):
+                x, _ = fw_qp(g, iterations=k, exact=True)
+                assert verify_base(f, x)
 
     def test_standard_schedule_objective_bound(self):
         for g in (triangle(), tri_pendant(), k4()):
             f = edge_count_fn(g)
             opt = float(sum(v * v for v in density_vector(f).values))
             _, hi = curvature_bounds(g)
-            _, trace = frank_wolfe(
-                orientation_lmo(g), ground=tuple(range(g.n)),
-                schedule=STANDARD, iterations=300,
-            )
+            _, trace = fw_qp(g, schedule=STANDARD, iterations=300)
             for rec in trace.records:
                 assert rec.objective - opt <= 2 * hi / (rec.k + 2) + 1e-9
 
     def test_triangle_long_run_reaches_uniform_vector(self):
         g = triangle()
         ref = density_vector(edge_count_fn(g))
-        x, trace = frank_wolfe(
-            orientation_lmo(g), ground=(0, 1, 2), iterations=10_000, ref=ref
-        )
+        x, trace = fw_qp(g, iterations=10_000, ref=ref)
         assert trace.records[-1].dist_ref <= 0.05
 
     def test_early_stop_on_distance(self):
         g = triangle()
         ref = density_vector(edge_count_fn(g))
-        _, trace = frank_wolfe(
-            orientation_lmo(g), ground=(0, 1, 2), iterations=10_000,
-            ref=ref, stop_dist=0.05,
-        )
+        _, trace = fw_qp(g, iterations=10_000, ref=ref, stop_dist=0.05)
         assert len(trace.records) < 10_000
         assert trace.records[-1].dist_ref <= 0.05
 
     def test_iteration_validation(self):
         with pytest.raises(ValueError):
-            frank_wolfe(lambda w: None, ground=(0,), iterations=0)
+            frank_wolfe(lambda w: None, (0,), iterations=0)
         with pytest.raises(ValueError):
-            frank_wolfe(lambda w: None, ground=(0,), schedule=STANDARD, iterations=21, exact=True)
-        with pytest.raises(ValueError):
-            frank_wolfe(lambda w: None, iterations=5)  # no x0, no ground
+            frank_wolfe(lambda w: None, (0,), schedule=STANDARD, iterations=21, exact=True)
 
     def test_non_finite_iterate_detected(self):
         bad = lambda w: BaseVector((0,), (float("inf"),))
         with pytest.raises(NumericalError):
-            frank_wolfe(bad, BaseVector((0,), (0.0,)), iterations=3)
+            frank_wolfe(bad, (0.0,), iterations=3)
 
 
 class TestTrace:
     def test_csv_shape(self, tmp_path):
         g = triangle()
         ref = density_vector(edge_count_fn(g))
-        _, trace = frank_wolfe(orientation_lmo(g), ground=(0, 1, 2), iterations=4, ref=ref)
+        _, trace = fw_qp(g, iterations=4, ref=ref)
         text = trace.to_csv()
         lines = text.strip().split("\n")
         assert lines[0] == "k,objective,gamma,dist_ref"
@@ -211,7 +218,7 @@ class TestTrace:
 
     def test_distance_column_blank_without_reference(self):
         g = triangle()
-        _, trace = frank_wolfe(orientation_lmo(g), ground=(0, 1, 2), iterations=2)
+        _, trace = fw_qp(g, iterations=2)
         for line in trace.to_csv().strip().split("\n")[1:]:
             assert line.endswith(",")
 

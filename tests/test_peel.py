@@ -1,5 +1,6 @@
 """Weighted peeling passes and the iterated peeling density maximizers."""
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -30,6 +31,7 @@ from densefw import (
     weighted_greedy,
     weighted_supergreedy,
 )
+from densefw.errors import OracleFlagError
 from densefw.setfn import SUPERMODULAR
 
 
@@ -104,7 +106,7 @@ class TestWeightedSupergreedy:
         assert sum(r.dhat.values) == f.value(f.ground)
 
     def test_needs_supermodular_oracle(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(OracleFlagError):
             weighted_supergreedy(graphic_rank_fn(triangle()), (0, 0, 0))
 
     def test_weight_length_checked(self):
@@ -172,29 +174,27 @@ class TestGreedyPP:
 
     def test_cumulative_loads_identity(self):
         g = tri_pendant()
-        res = greedy_pp(g, 7, keep_iterates=True)
         w = [0] * g.n
-        for k, rec in enumerate(res.trace.records, start=1):
+        for k in range(1, 8):
             d = weighted_greedy(g, w).dhat
             w = [x + y for x, y in zip(w, d.values)]
-            assert tuple(Fraction(x, k) for x in w) == rec.iterate
-        assert tuple(Fraction(x, res.iterations) for x in w) == res.x.values
+            assert tuple(Fraction(x, k) for x in w) == greedy_pp(g, k).x.values
 
     def test_averaged_vector_is_a_base(self):
         g = three_tier()
         f = edge_count_fn(g)
-        res = greedy_pp(g, 12, keep_iterates=True)
-        for rec in res.trace.records:
-            assert verify_base(f, rec.iterate)
+        for k in range(1, 13):
+            assert verify_base(f, greedy_pp(g, k).x)
 
     def test_trace_fields(self):
         g = tri_pendant()
         ref = density_vector(edge_count_fn(g))
-        res = greedy_pp(g, 5, ref=ref, keep_iterates=True)
-        for rec in res.trace.records:
-            assert rec.gamma == 1.0 / rec.k
-            assert rec.objective == pytest.approx(float(sum(v * v for v in rec.iterate)))
-            assert rec.dist_ref == pytest.approx(ref.distance(rec.iterate))
+        for k in range(1, 6):
+            res = greedy_pp(g, k, ref=ref)
+            assert [rec.gamma for rec in res.trace.records] == [1.0 / i for i in range(1, k + 1)]
+            rec = res.trace.records[-1]
+            assert rec.objective == pytest.approx(float(sum(v * v for v in res.x.values)))
+            assert rec.dist_ref == pytest.approx(math.dist(res.x.values, ref.values))
 
     def test_early_stop(self):
         g = three_tier()
@@ -202,7 +202,6 @@ class TestGreedyPP:
         res = greedy_pp(g, 100, ref=ref, stop_dist=0.05)
         assert res.iterations < 100
         assert res.trace.records[-1].dist_ref <= 0.05
-        assert all(rec.iterate is None for rec in res.trace.records)
 
     def test_iterations_validated(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Spanning tree packing, graph strength, and ideal-load cross-checks."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -40,6 +41,13 @@ def cycle(n):
 
 def two_islands():
     return MultiGraph(4, ((0, 1), (2, 3)))
+
+
+def exact_pack(g, iterations):
+    """fw_tree_pack's run in exact arithmetic: averaging Frank-Wolfe with the
+    MST oracle, first queried at the MST under all-zero weights."""
+    lmo = _mst_lmo(g)
+    return frank_wolfe(lmo, lmo([0] * g.m).values, iterations=iterations, exact=True)
 
 
 class TestIdealLoads:
@@ -134,38 +142,32 @@ class TestPartitionOracle:
 class TestGreedyPacking:
     def test_tree_instances_are_immediate_fixed_points(self):
         for g in (p3(), star()):
-            loads, trace = fw_tree_pack(g, 4, exact=True)
+            loads, trace = exact_pack(g, 4)
             assert loads.values == (Fraction(1),) * g.m
             assert all(r.objective == float(g.n - 1) for r in trace.records)
 
     def test_triangle_rotates_to_exact_answer_in_three_trees(self):
-        loads, _ = fw_tree_pack(triangle(), 3, exact=True)
+        loads, _ = exact_pack(triangle(), 3)
         assert loads.values == (Fraction(2, 3),) * 3
 
     def test_triangle_long_run_near_ideal(self):
         ref = ideal_loads(triangle())
         loads, trace = fw_tree_pack(triangle(), 10_000, ref=ref)
         assert trace.records[-1].dist_ref <= 0.02
-        assert loads.distance(ref) <= 0.02
+        assert math.dist(loads.values, ref.values) <= 0.02
 
     def test_pendant_bridge_saturates_every_iterate(self):
         g = tri_pendant()
-        _, trace = frank_wolfe(
-            _mst_lmo(g), ground=range(g.m), schedule=AVERAGING,
-            iterations=60, keep_iterates=True,
-        )
-        for rec in trace.records:
-            assert rec.iterate[3] == 1.0
+        for k in range(1, 61):
+            loads, _ = fw_tree_pack(g, k)
+            assert loads.values[3] == 1.0
 
     def test_iterates_stay_in_the_polytope_box(self):
         g = k4()
-        _, trace = frank_wolfe(
-            _mst_lmo(g), ground=range(g.m), schedule=AVERAGING,
-            iterations=50, keep_iterates=True,
-        )
-        for rec in trace.records:
-            assert abs(sum(rec.iterate) - (g.n - 1)) < 1e-9
-            assert all(-1e-12 <= v <= 1 + 1e-12 for v in rec.iterate)
+        for k in range(1, 51):
+            loads, _ = fw_tree_pack(g, k)
+            assert abs(sum(loads.values) - (g.n - 1)) < 1e-9
+            assert all(-1e-12 <= v <= 1 + 1e-12 for v in loads.values)
 
     def test_greedy_is_averaging_frank_wolfe(self):
         for g in (triangle(), tri_pendant(), k4()):

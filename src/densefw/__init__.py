@@ -42,6 +42,7 @@ from .polytope import (
     lmo,
     optimal_orientation,
     verify_base,
+    verify_bases,
 )
 from .setfn import (
     SetFunctionOracle,
@@ -101,6 +102,7 @@ __all__ = [
     "tnw_ideal_loads",
     "tnw_strength",
     "verify_base",
+    "verify_bases",
     "verify_decomposition_equivalence",
     "weighted_greedy",
     "weighted_supergreedy",

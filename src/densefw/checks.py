@@ -62,14 +62,9 @@ def run_instance_checks(g: MultiGraph, seed: int = 0) -> list[CheckResult]:
         add("dualize_involution", all(vb == vf for (_, _, vb), (_, _, vf) in pairs))
 
     if g.n <= setfn.ENUM_CAP:
-        for trial in range(5):
-            w = [rng.randint(0, 12) for _ in range(g.n)]
-            d = polytope.lmo(f_edges, w)
-            if not polytope.verify_base(f_edges, d):
-                add("lmo_output_is_base", False, f"trial {trial}")
-                break
-        else:
-            add("lmo_output_is_base", True)
+        trials = [polytope.lmo(f_edges, [rng.randint(0, 12) for _ in range(g.n)]) for _ in range(5)]
+        based = polytope.verify_bases(f_edges, trials)
+        add("lmo_output_is_base", all(based), "" if all(based) else f"trial {based.index(False)}")
 
     if g.n <= 6:
         verts = polytope.enumerate_base_vertices(f_edges)
@@ -86,8 +81,8 @@ def run_instance_checks(g: MultiGraph, seed: int = 0) -> list[CheckResult]:
     if g.m <= 10:
         loads = integral_orientation_loads(g)
         distinct = set(loads)
-        if g.n <= setfn.ENUM_CAP:  # verify_base scans all 2^n vertex subsets
-            add("orientation_loads_are_bases", all(polytope.verify_base(f_edges, row) for row in distinct))
+        if g.n <= setfn.ENUM_CAP:  # verify_bases scans all 2^n vertex subsets
+            add("orientation_loads_are_bases", all(polytope.verify_bases(f_edges, distinct)))
         if g.n <= 6:  # verts was enumerated above
             add("vertices_are_orientations", all(v.values in distinct for v in verts))
         lo, hi = fw.curvature_bounds(g)

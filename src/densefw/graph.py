@@ -127,13 +127,24 @@ def components(g: MultiGraph, edge_subset: Iterable[int]) -> int:
 
     Isolated vertices count as components, so the empty subset gives n.
     """
-    dsu = _DSU(g.n)
+    edges = g.edges
+    m = len(edges)
+    parent = list(range(g.n))
+    count = g.n
     for idx in edge_subset:
-        if not (0 <= idx < g.m):
+        if not (0 <= idx < m):
             raise ValueError(f"edge index {idx} out of range")
-        u, v = g.edges[idx]
-        dsu.union(u, v)
-    return dsu.count
+        u, v = edges[idx]
+        while parent[u] != u:  # path halving
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        if u != v:
+            parent[v] = u
+            count -= 1
+    return count
 
 
 def is_connected(g: MultiGraph) -> bool:

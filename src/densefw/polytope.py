@@ -107,32 +107,74 @@ def verify_base(f: SetFunctionOracle, x, tol=0) -> bool:
 
     Exact arithmetic: float inputs are converted to exact binary rationals.
     `tol` relaxes every constraint symmetrically for floating iterates.
-    x(S) is kept along the subset walk, in ints scaled by one denominator.
+    This is `verify_bases` for one vector.
+    """
+    return verify_bases(f, [x], tol)[0]
+
+
+def verify_bases(f: SetFunctionOracle, xs, tol=0) -> list[bool]:
+    """verify_base for each vector of xs, by one subset walk for all of them.
+
+    Vector k's slack at S, s_k(S) = t + floor(sign d f(S)) - sign d x_k(S),
+    is an int: d clears every denominator of x and tol, t = d tol, and sign
+    is 1 for submodular f (x(S) <= f(S)), -1 for supermodular f. It is < 0
+    exactly where x_k violates its constraint at S. Each s_k(S) + 2^(w-1)
+    is one w-bit field of a single int, so a walk step moves every slack by
+    two big-int additions, and a field whose top bit clears names a
+    violated set. The field width rests on a bound on every |s_k(S)|, and
+    an assert checks the one part of it the declared kind has to supply.
     """
     scan = walk(f)  # raises above ENUM_CAP before any arithmetic
-    q = _exact(x)
-    if len(q) != len(f.ground):
+    qs = [_exact(x) for x in xs]
+    if any(len(q) != len(f.ground) for q in qs):
         raise ValueError("vector length mismatch")
     tol = tol if isinstance(tol, (int, Fraction)) else Fraction(tol)
-    if any(v < -tol for v in q):
-        return False
-    total = sum(q)
-    full = f._eval(f.ground_set)
-    if abs(total - full) > tol:
-        return False
-    sign = 1 if f.kind == SUBMODULAR else -1  # x(S) <= f(S), or >= for supermodular f
-    den = math.lcm(tol.denominator, *(v.denominator for v in q))
-    step = {1 << j: int(v * den) for j, v in enumerate(q)}
-    tol = int(tol * den)
+    ground = f.ground_set
+    full = f._eval(ground)
+    ok = [all(v >= -tol for v in q) and abs(sum(q) - full) <= tol for q in qs]
+    live = [k for k in range(len(qs)) if ok[k]]
+    if not live:
+        return ok
+    sign = 1 if f.kind == SUBMODULAR else -1
+    den = math.lcm(tol.denominator, *(v.denominator for k in live for v in qs[k]))
+    t = int(tol * den)
+    # Each element's marginal lies between its marginals at the empty set
+    # and at ground - {e} (decreasing in the set for submodular f,
+    # increasing for supermodular f), so |f(S)| <= bound for every S; with
+    # |x_k(S)| <= sum |x_k| that gives |s_k(S)| <= span.
+    f0 = f._eval(frozenset())
+    bound = abs(f0) + sum(
+        max(abs(f._eval(frozenset([e])) - f0), abs(full - f._eval(ground - {e}))) for e in ground)
+    cap = math.floor(den * bound) + 1  # |floor(sign d f(S))| <= cap
+    rows = [[int(sign * den * v) for v in qs[k]] for k in live]
+    span = abs(t) + cap + max(sum(map(abs, row)) for row in rows)
+    w = span.bit_length() + 1  # 2^(w-1) > span: fields stay in [1, 2^w)
+    ones = sum(1 << w * i for i in range(len(live)))
+    step = {1 << j: sum(row[j] << w * i for i, row in enumerate(rows)) for j in range(len(f.ground))}
+    c = prev_c = math.floor(sign * den * f0)
+    packed = (t + c + (1 << w - 1)) * ones
+    unviolated = ones << w - 1  # the top bits of the fields still in the race
     next(scan)  # the empty set comes first and carries no constraint
-    prev = xs = 0
+    prev = 0
     for mask, _, fs in scan:
         bit = mask ^ prev
         prev = mask
-        xs += step[bit] if mask & bit else -step[bit]
-        if sign * (xs - fs * den) > tol:
-            return False
-    return True
+        packed -= step[bit] if mask & bit else -step[bit]
+        c = math.floor(sign * den * fs)
+        if c != prev_c:
+            assert -cap <= c <= cap, "f(S) leaves the range its declared kind allows"
+            packed += (c - prev_c) * ones
+            prev_c = c
+        if packed & unviolated != unviolated:
+            violated = unviolated & ~packed
+            unviolated ^= violated
+            while violated:
+                top = violated.bit_length() - 1
+                violated ^= 1 << top
+                ok[live[top // w]] = False
+            if not unviolated:
+                break
+    return ok
 
 
 @dataclass(frozen=True)

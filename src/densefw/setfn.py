@@ -107,12 +107,67 @@ def edge_count_fn(g: MultiGraph) -> SetFunctionOracle:
 def graphic_rank_fn(g: MultiGraph) -> SetFunctionOracle:
     """Graphic matroid rank r(X) = n - (components of (V, X)). Submodular,
     monotone, normalized; ground set is the edge index set."""
-    n = g.n
+    n, edges = g.n, g.edges
 
     def ev(s: frozenset[int]) -> int:
         return n - components(g, s)
 
-    return SetFunctionOracle(tuple(range(g.m)), SUBMODULAR, True, True, ev)
+    def gains(elems, base):
+        # gain(mask, j) = 1 iff edge elems[j] joins two components of the
+        # subgraph formed by base and the edges set in mask. A union-by-size
+        # DSU without path compression over the touched vertices holds that
+        # subgraph for the last mask asked. Base edges sit at the positions
+        # above elems and are always set. Each union is on a stack, highest
+        # position first, as its position and the root it hung, so the
+        # unions at or below any position can be undone in reverse order.
+        label: dict[int, int] = {}
+        ends = [tuple(label.setdefault(v, len(label)) for v in edges[e]) for e in (*elems, *base)]
+        parent, size = list(range(len(label))), [1] * len(label)
+        top = (1 << len(ends)) - (1 << len(elems))
+        pos, hung = [len(ends)], [-1]  # a sentinel never undone
+        cur = 0
+
+        def gain(mask, j):
+            # Move from cur to mask: undo the unions at or below the highest
+            # differing bit h, redo mask's own bits up to h. Along a Gray-code
+            # walk that is O(1) unions per step, amortized; any other order
+            # costs at most a rebuild, so the answer depends on (mask, j) only.
+            nonlocal cur
+            mask |= top
+            if cur != mask:
+                h = (cur ^ mask).bit_length() - 1
+                while pos[-1] <= h:
+                    pos.pop()
+                    b = hung.pop()
+                    size[parent[b]] -= size[b]
+                    parent[b] = b
+                low = mask & ((2 << h) - 1)
+                while low:
+                    p = low.bit_length() - 1
+                    low ^= 1 << p
+                    a, b = ends[p]
+                    while parent[a] != a:
+                        a = parent[a]
+                    while parent[b] != b:
+                        b = parent[b]
+                    if a != b:
+                        if size[a] < size[b]:
+                            a, b = b, a
+                        parent[b] = a
+                        size[a] += size[b]
+                        pos.append(p)
+                        hung.append(b)
+                cur = mask
+            u, v = ends[j]
+            while parent[u] != u:
+                u = parent[u]
+            while parent[v] != v:
+                v = parent[v]
+            return 1 if u != v else 0
+
+        return gain
+
+    return SetFunctionOracle(tuple(range(g.m)), SUBMODULAR, True, True, ev, gains)
 
 
 def dualize(f: SetFunctionOracle) -> SetFunctionOracle:

@@ -71,8 +71,7 @@ def _min_partition(g: MultiGraph, edge_ids) -> tuple[Fraction, tuple, list[tuple
     local = {v: i for i, v in enumerate(verts)}
     ends = [(local[g.edges[i][0]], local[g.edges[i][1]]) for i in edge_ids]
     block_of = [0] * len(verts)
-    best = None  # (tau, -parts) of the finest minimizer so far
-    ties_at_best = 0
+    num, den = 0, 0  # least crossing / (parts - 1) so far, by cross-multiplying; den == 0 before the first
     for parts in _partitions(len(verts)):
         if len(parts) < 2:
             continue
@@ -80,15 +79,15 @@ def _min_partition(g: MultiGraph, edge_ids) -> tuple[Fraction, tuple, list[tuple
             for v in part:
                 block_of[v] = b
         crossing = sum(1 for u, v in ends if block_of[u] != block_of[v])
-        key = (Fraction(crossing, len(parts) - 1), -len(parts))
-        if best is None or key < best:
-            best, best_parts, ties_at_best = key, parts, 1
-        elif key == best:
+        c = crossing * den - num * (len(parts) - 1)
+        if c < 0 or not den or (c == 0 and len(parts) > len(best_parts)):  # ties go to more parts
+            num, den, best_parts, ties_at_best = crossing, len(parts) - 1, parts, 1
+        elif c == 0 and len(parts) == len(best_parts):
             ties_at_best += 1
-    assert best is not None
+    assert den
     assert ties_at_best == 1, "finest minimizing partition should be unique"
     block_of = {v: b for b, part in enumerate(best_parts) for v in part}
-    return best[0], best_parts, [(block_of[u], block_of[v]) for u, v in ends]
+    return Fraction(num, den), best_parts, [(block_of[u], block_of[v]) for u, v in ends]
 
 
 def tnw_strength(g: MultiGraph) -> Fraction:

@@ -90,6 +90,24 @@ class TestDensestSet:
         assert (s, d) == (frozenset(range(ENUM_CAP)), Fraction(ENUM_CAP - 1, ENUM_CAP))
         assert peak < 2 * 2**20
 
+    def test_rank_scan_runs_in_constant_memory(self):
+        """The graphic-rank hook keeps one DSU and an undo stack of at most m
+        entries: the deletion decomposition of a 16-edge graph, whose first
+        walk covers all 2^16 edge subsets, stays under 2 MiB."""
+        k4a = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+        k4b = [(a + 7, b + 7) for a, b in k4a]
+        path = [(3, 4), (4, 5), (5, 6), (6, 7)]
+        g = MultiGraph(11, tuple(k4a + path + k4b))
+        tracemalloc.start()
+        try:
+            dec = decompose_submodular_deletion(graphic_rank_fn(g))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dec.blocks == ((6, 7, 8, 9), (0, 1, 2, 3, 4, 5, 10, 11, 12, 13, 14, 15))
+        assert dec.densities == (Fraction(1), Fraction(2))
+        assert peak < 2 * 2**20
+
     def test_misdeclared_oracle_fails_loudly(self):
         rank_as_super = SetFunctionOracle(
             (0, 1, 2), SUPERMODULAR, True, True, graphic_rank_fn(triangle())._eval

@@ -25,10 +25,13 @@ from densefw import (
     lmo,
     optimal_orientation,
     verify_base,
+    verify_bases,
 )
 from densefw.errors import GroundSetTooLargeError, OracleFlagError
 from densefw.polytope import VERTEX_ENUM_CAP
-from densefw.setfn import SetFunctionOracle
+from densefw.graph import parse_edge_list
+from densefw.setfn import SUBMODULAR, SetFunctionOracle
+from test_decomp import ref_verify_base
 
 
 class TestBaseVector:
@@ -179,6 +182,54 @@ class TestVerifyBase:
         f = edge_count_fn(MultiGraph(21, ()))
         with pytest.raises(GroundSetTooLargeError):
             verify_base(f, (0,) * 21)
+
+
+class TestVerifyBases:
+    """verify_bases: one packed walk for many vectors, against one walk per
+    vector and against the frozenset reference."""
+
+    def test_orientation_loads_match_per_vector_scans(self, data_dir):
+        graphs = [parse_edge_list(p.read_text()) for p in sorted(data_dir.glob("*.el"))]
+        rng = random.Random(61)
+        graphs += [random_multigraph(rng, n_max=7, m_max=10) for _ in range(12)]
+        for g in graphs:
+            f = edge_count_fn(g)
+            rows = sorted({Orientation.from_mask(g, mask).induced_load(g).values for mask in range(1 << g.m)})
+            nudged = [row[:-2] + (row[-2] + 1, row[-1] - 1) for row in rows]
+            assert verify_bases(f, rows) == [verify_base(f, r) for r in rows] == [True] * len(rows)
+            assert verify_bases(f, nudged) == [verify_base(f, r) for r in nudged]
+
+    def test_perturbed_vectors_match_per_vector_scans(self):
+        rng = random.Random(67)
+        based = total = 0
+        for _ in range(30):
+            g = random_multigraph(rng, n_max=6, m_max=9)
+            for f in (edge_count_fn(g), graphic_rank_fn(g)):
+                n = len(f.ground)
+                xs = []
+                for _ in range(6):
+                    x = list(lmo(f, [rng.randint(0, 5) for _ in range(n)]).values)
+                    if n >= 2 and rng.random() < 0.6:
+                        i, j = rng.sample(range(n), 2)
+                        d = rng.choice([1, 2, Fraction(1, 3), Fraction(rng.randint(1, 5), rng.randint(2, 7))])
+                        x[i] += d
+                        x[j] -= d
+                    xs.append(x)
+                for tol in (0, Fraction(1, 4)):
+                    got = verify_bases(f, xs, tol)
+                    assert got == [verify_base(f, x, tol) for x in xs] == [ref_verify_base(f, x, tol) for x in xs]
+                    based += sum(got)
+                    total += len(got)
+        assert total >= 300 and 0.2 < based / total < 0.8
+
+    def test_slack_outside_the_field_bound_trips_the_assert(self):
+        """The field width is computed from the vectors and from the range
+        the declared kind allows f: here f jumps to 1000 on the pairs while
+        its values at the empty set, the singletons, the triples and the
+        ground set bound it by 0, so the fields would overflow."""
+        f = SetFunctionOracle((0, 1, 2, 3), SUBMODULAR, True, True, lambda s: 1000 if len(s) == 2 else 0)
+        with pytest.raises(AssertionError):
+            verify_bases(f, [(0, 0, 0, 0)] * 3)
 
 
 class TestOrientation:

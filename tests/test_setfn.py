@@ -10,6 +10,7 @@ from conftest import multigraphs, random_multigraph, star, three_tier, tri_penda
 from densefw import (
     MultiGraph,
     SetFunctionOracle,
+    components,
     contract,
     dualize,
     edge_count_fn,
@@ -253,6 +254,15 @@ def multigraph_with_extras(rng):
     return MultiGraph(g.n + 1, edges)
 
 
+def rank_graph_with_extras(rng):
+    """A seeded random multigraph with at most 10 edges (often disconnected)
+    plus 1-3 parallel copies of one edge and one isolated vertex at the top
+    index."""
+    g = random_multigraph(rng, n_max=7, m_max=7)
+    edges = g.edges + (g.edges[0],) * rng.randint(1, 3)
+    return MultiGraph(g.n + 1, edges)
+
+
 class TestSubsets:
     """setfn.walk, the one subset enumerator."""
 
@@ -318,6 +328,45 @@ class TestSubsets:
                 part, ref = part_of(h, h.ground[split:], frozenset(h.ground[:split]))
                 assert part._gains is not None
                 walk_matches_eval(part, ref)
+
+    def test_graphic_rank_hook_matches_eval(self):
+        rng = random.Random(97)
+        split = 0
+        for _ in range(48):
+            g = rank_graph_with_extras(rng)
+            split += components(g, range(g.m)) > 2  # beyond the isolated vertex
+            f = graphic_rank_fn(g)
+            assert f._gains is not None
+            assert walk_matches_eval(f) == 1 << g.m
+            r = restrict(f, rng.sample(f.ground, rng.randint(1, g.m)))
+            c = contract(f, rng.sample(f.ground, rng.randint(1, g.m - 1)))
+            assert r._gains is not None and c._gains is not None
+            for h in (r, c):
+                walk_matches_eval(h)
+            cut = rng.sample(f.ground, rng.randint(1, g.m - 1))
+            base = frozenset(cut[: rng.randint(1, len(cut))])
+            elems = tuple(e for e in f.ground if e not in cut)
+            h, ref = part_of(f, elems, base)
+            assert h._gains is not None and h.ground == elems
+            walk_matches_eval(h, ref)
+            walk_matches_eval(reordered(h, elems[::-1]), ref)
+        assert split >= 10
+
+    def test_graphic_rank_gains_out_of_gray_order(self):
+        """gain(mask, j) is a function of (mask, j) alone, whatever was asked before."""
+        rng = random.Random(101)
+        for _ in range(40):
+            g = rank_graph_with_extras(rng)
+            f = graphic_rank_fn(g)
+            base = frozenset(rng.sample(f.ground, rng.randint(0, g.m - 1)))
+            elems = [e for e in f.ground if e not in base]
+            rng.shuffle(elems)
+            gain = f._gains(tuple(elems), base)
+            for _ in range(60):
+                j = rng.randrange(len(elems))
+                mask = rng.getrandbits(len(elems)) & ~(1 << j)
+                s = subset_at(elems, mask) | base
+                assert gain(mask, j) == f._eval(s | {elems[j]}) - f._eval(s)
 
     def test_oracles_without_hook_walk_one_set(self):
         rng = random.Random(79)

@@ -32,7 +32,7 @@ from densefw import (
     verify_base,
 )
 from densefw.errors import DisconnectedGraphError, GroundSetTooLargeError
-from densefw.treepack import _mst_lmo, _partitions
+from densefw.treepack import _min_partition, _mst_lmo, _partitions
 
 
 def cycle(n):
@@ -113,6 +113,34 @@ class TestStrength:
             tnw_strength(cycle(11))
 
 
+def fraction_min_partition(g, edge_ids):
+    """The partition scan keyed by (Fraction(crossing, parts - 1), -parts)
+    that _min_partition's integer comparison replaced: tau, the finest
+    minimizing partition, each edge's pair of blocks, and how many
+    partitions reach tau."""
+    verts = sorted({v for i in edge_ids for v in g.edges[i]})
+    local = {v: i for i, v in enumerate(verts)}
+    ends = [(local[g.edges[i][0]], local[g.edges[i][1]]) for i in edge_ids]
+    block_of = [0] * len(verts)
+    best, ties, reach = None, 0, {}
+    for parts in _partitions(len(verts)):
+        if len(parts) < 2:
+            continue
+        for b, part in enumerate(parts):
+            for v in part:
+                block_of[v] = b
+        crossing = sum(1 for u, v in ends if block_of[u] != block_of[v])
+        key = (Fraction(crossing, len(parts) - 1), -len(parts))
+        reach[key[0]] = reach.get(key[0], 0) + 1
+        if best is None or key < best:
+            best, best_parts, ties = key, parts, 1
+        elif key == best:
+            ties += 1
+    assert ties == 1
+    block_of = {v: b for b, part in enumerate(best_parts) for v in part}
+    return best[0], best_parts, [(block_of[u], block_of[v]) for u, v in ends], reach[best[0]]
+
+
 class TestPartitionOracle:
     @pytest.mark.parametrize("n,bell", [(1, 1), (2, 2), (3, 5), (4, 15), (5, 52), (6, 203), (7, 877), (8, 4140)])
     def test_partitions_are_the_bell_number_of_set_partitions(self, n, bell):
@@ -137,6 +165,17 @@ class TestPartitionOracle:
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraphError):
             tnw_ideal_loads(two_islands())
+
+    def test_integer_scan_matches_the_fraction_scan(self):
+        rng = random.Random(2027)
+        tied = 0
+        for i in range(220):
+            g = random_connected_graph(rng, n_max=8, extra_max=5)
+            ids = range(g.m) if i % 2 else sorted(rng.sample(range(g.m), rng.randint(1, g.m)))
+            tau, parts, ends, reach = fraction_min_partition(g, ids)
+            assert _min_partition(g, ids) == (tau, parts, ends)
+            tied += reach > 1
+        assert tied >= 50  # several partitions share tau, so the tie rule decides
 
 
 class TestGreedyPacking:

@@ -34,10 +34,10 @@ from densefw import (
     parse_edge_list,
     tnw_strength,
 )
+from densefw.cli import REF_SIZE_CAP
 from densefw.setfn import ENUM_CAP
 from densefw.treepack import PARTITION_CAP
 
-REF_CAP = 12
 LOAD_CAP = ENUM_CAP
 
 
@@ -52,7 +52,7 @@ def run_one(name, g, out_dir: Path, iters: int) -> dict:
 
     f = edge_count_fn(g)
     dec = decompose_supermodular(f)
-    ref = dec.vector(f.ground) if g.n <= REF_CAP else None
+    ref = dec.vector(f.ground) if g.n <= REF_SIZE_CAP else None
     body = dec.to_json_dict()
     if ref is not None:
         body["density_vector"] = {str(v): str(x) for v, x in zip(ref.ground, ref.values)}

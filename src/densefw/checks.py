@@ -90,7 +90,7 @@ def run_instance_checks(g: MultiGraph, seed: int = 0) -> list[CheckResult]:
         add("curvature_bracket", lo <= wit <= hi, f"2m={lo} witness={wit} cap={hi}")
 
     if g.m >= 1:
-        sq = sum(d * d for d in g._degrees)
+        sq = fw.degree_square_sum(g)
         ok = True
         for _ in range(10):
             w = rng.choices(range(16), k=g.n)
@@ -114,9 +114,8 @@ def run_instance_checks(g: MultiGraph, seed: int = 0) -> list[CheckResult]:
 
     if is_connected(g) and 2 <= g.n <= treepack.PARTITION_CAP and g.m <= setfn.ENUM_CAP:
         ideal = treepack.ideal_loads(g)
-        tau, ref = treepack._strength_and_ideal_loads(g)
-        add("ideal_loads_match_partitions", ideal.values == ref.values)
+        add("ideal_loads_match_partitions", ideal.values == treepack.tnw_ideal_loads(g).values)
         add("ideal_loads_are_base", polytope.verify_base(f_rank, ideal))
-        add("max_load_is_inv_strength", max(ideal.values) == 1 / tau)
+        add("max_load_is_inv_strength", max(ideal.values) == 1 / treepack.tnw_strength(g))
     return out
 

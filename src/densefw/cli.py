@@ -26,7 +26,7 @@ EXIT_INPUT = 2
 EXIT_INFEASIBLE = 3
 EXIT_USAGE = 64
 
-_REF_SIZE_CAP = 12  # compute exact reference vectors for traces up to this size
+REF_SIZE_CAP = 12  # compute exact reference vectors for traces up to this size
 
 
 class _Parser(argparse.ArgumentParser):
@@ -105,8 +105,8 @@ def _load_graph(path: str) -> MultiGraph:
 
 
 def _ref(ns: argparse.Namespace, f: setfn.SetFunctionOracle):
-    """density_vector(f) if --trace/--epsilon wants it and f fits _REF_SIZE_CAP."""
-    if (ns.trace or ns.epsilon is not None) and len(f.ground) <= _REF_SIZE_CAP:
+    """density_vector(f) if --trace/--epsilon wants it and f fits REF_SIZE_CAP."""
+    if (ns.trace or ns.epsilon is not None) and len(f.ground) <= REF_SIZE_CAP:
         return decomp.density_vector(f)
     return None
 

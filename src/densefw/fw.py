@@ -156,11 +156,15 @@ def harmonic_bound(k: int, curvature_upper, delta) -> Fraction:
     return 2 * c * (1 + d) * harmonic_number(k + 1) / (k + 1)
 
 
+def degree_square_sum(g: MultiGraph) -> int:
+    """sum deg^2: one weighted peel's additive error bound, and the scale of the curvature bracket and delta."""
+    return sum(d * d for d in g.degrees)
+
+
 def curvature_bounds(g: MultiGraph) -> tuple[int, int]:
     """(2m, 2 * sum deg^2): bracket for the edge-count polytope curvature,
     the worst-case 2 ||s - x||^2 over pairs of feasible points."""
-    sq = sum(d * d for d in g._degrees)
-    return 2 * g.m, 2 * sq
+    return 2 * g.m, 2 * degree_square_sum(g)
 
 
 def delta_for_graph(g: MultiGraph) -> Fraction:
@@ -170,4 +174,4 @@ def delta_for_graph(g: MultiGraph) -> Fraction:
     """
     if g.m == 0:
         raise ValueError("delta undefined for empty edge set")
-    return Fraction(sum(d * d for d in g._degrees), g.m)
+    return Fraction(degree_square_sum(g), g.m)

@@ -40,17 +40,13 @@ class MultiGraph:
         return len(self.edges)
 
     @cached_property
-    def _degrees(self) -> tuple[int, ...]:
+    def degrees(self) -> tuple[int, ...]:
+        """degrees[v] counts the edges at v, parallel edges with multiplicity."""
         deg = [0] * self.n
         for u, v in self.edges:
             deg[u] += 1
             deg[v] += 1
         return tuple(deg)
-
-    def degree(self, v: int) -> int:
-        if not 0 <= v < self.n:
-            raise ValueError(f"vertex {v} out of range for n={self.n}")
-        return self._degrees[v]
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -61,27 +57,6 @@ class MultiGraph:
             adj[u].append(v)
             adj[v].append(u)
         return tuple(tuple(a) for a in adj)
-
-
-class _DSU:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.count = n
-
-    def find(self, x: int) -> int:
-        p = self.parent
-        while p[x] != x:
-            p[x] = p[p[x]]
-            x = p[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        self.count -= 1
-        return True
 
 
 def parse_edge_list(text: str) -> MultiGraph:
@@ -161,14 +136,22 @@ def minimum_spanning_tree(g: MultiGraph, weights: Sequence) -> tuple[int, ...]:
     if len(weights) != g.m:
         raise ValueError(f"expected {g.m} weights, got {len(weights)}")
     order = sorted(range(g.m), key=lambda i: (weights[i], i))
-    dsu = _DSU(g.n)
+    edges = g.edges
+    parent = list(range(g.n))
     chosen: list[int] = []
     for idx in order:
-        u, v = g.edges[idx]
-        if dsu.union(u, v):
+        u, v = edges[idx]
+        while parent[u] != u:  # path halving, as in components
+            parent[u] = parent[parent[u]]
+            u = parent[u]
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        if u != v:
+            parent[v] = u
             chosen.append(idx)
             if len(chosen) == g.n - 1:
                 break
-    if dsu.count != 1:
+    if len(chosen) != g.n - 1:
         raise DisconnectedGraphError("graph is not connected")
     return tuple(sorted(chosen))

@@ -51,7 +51,7 @@ def weighted_greedy(g: MultiGraph, w: Sequence) -> PeelResult:
     n = g.n
     if len(w) != n:
         raise ValueError(f"expected {n} weights, got {len(w)}")
-    deg = list(g._degrees)
+    deg = list(g.degrees)
     adj = g.adjacency
     alive = [True] * n
     heap = [(w[u] + deg[u], u, deg[u]) for u in range(n)]

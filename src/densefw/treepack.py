@@ -10,8 +10,11 @@ The limit object is the ideal load: ell*(e) = 1/tau of the subproblem the
 edge dies in, where tau is the Tutte/Nash-Williams strength
 min over partitions P of crossing(P) / (|P| - 1). ideal_loads computes it
 from the deletion decomposition of the graphic rank function;
-tnw_ideal_loads recomputes it independently by enumerating vertex
-partitions and recursing, which is the cross-check used in tests.
+tnw_ideal_loads recomputes it independently from vertex partitions: find
+the finest partition reaching tau, give its crossing edges 1/tau, recurse
+on each part. Partitions come from one restricted-growth pass that carries
+the crossing count as each vertex is placed. tnw_strength and
+tnw_ideal_loads are the cross-check used in tests and by `verify`.
 """
 
 from __future__ import annotations
@@ -44,50 +47,54 @@ def ideal_loads(g: MultiGraph) -> BaseVector:
     return density_vector(graphic_rank_fn(g))
 
 
-def _partitions(n: int):
-    """Every set partition of range(n) as a tuple of sorted blocks: each
-    partition of range(n - 1) with n - 1 added to one of its blocks or
-    placed in a block of its own."""
-    if n == 0:
-        yield ()
-        return
-    last = n - 1
-    for parts in _partitions(last):
-        for i, block in enumerate(parts):
-            yield parts[:i] + (block + (last,),) + parts[i + 1 :]
-        yield parts + ((last,),)
-
-
 def _min_partition(g: MultiGraph, edge_ids) -> tuple[Fraction, tuple, list[tuple[int, int]]]:
     """Strength tau of the subgraph formed by `edge_ids`: the minimum of
     crossing(P) / (|P| - 1) over the partitions P, with >= 2 parts, of the
     vertices those edges touch. Returns tau, the finest minimizing partition
     (of local vertex indices) and each edge's pair of block indices under
     it. That partition is unique (refining two distinct minimizers would
-    beat both), which is asserted."""
+    beat both), which is asserted.
+
+    One restricted-growth pass: vertex v joins one of the blocks opened so
+    far or opens the next, and the crossing count grows by v's edges to
+    earlier vertices in other blocks, so blocks are numbered by their
+    smallest vertex."""
     verts = sorted({v for i in edge_ids for v in g.edges[i]})
-    if len(verts) > PARTITION_CAP:
-        raise GroundSetTooLargeError(f"partition enumeration limited to {PARTITION_CAP} vertices, got {len(verts)}")
+    n = len(verts)
+    if n > PARTITION_CAP:
+        raise GroundSetTooLargeError(f"partition enumeration limited to {PARTITION_CAP} vertices, got {n}")
     local = {v: i for i, v in enumerate(verts)}
     ends = [(local[g.edges[i][0]], local[g.edges[i][1]]) for i in edge_ids]
-    block_of = [0] * len(verts)
-    num, den = 0, 0  # least crossing / (parts - 1) so far, by cross-multiplying; den == 0 before the first
-    for parts in _partitions(len(verts)):
-        if len(parts) < 2:
-            continue
-        for b, part in enumerate(parts):
-            for v in part:
-                block_of[v] = b
-        crossing = sum(1 for u, v in ends if block_of[u] != block_of[v])
-        c = crossing * den - num * (len(parts) - 1)
-        if c < 0 or not den or (c == 0 and len(parts) > len(best_parts)):  # ties go to more parts
-            num, den, best_parts, ties_at_best = crossing, len(parts) - 1, parts, 1
-        elif c == 0 and len(parts) == len(best_parts):
-            ties_at_best += 1
+    earlier: list[list[int]] = [[] for _ in range(n)]  # earlier[v]: the end below v of each edge at v
+    for u, v in ends:
+        earlier[max(u, v)].append(min(u, v))
+    block_of = [0] * n
+    num, den = 0, 0  # least crossing / (parts - 1) so far, by cross-multiplying; 0/0 loses to the first
+    best, ties_at_best = None, 0
+
+    def place(v: int, parts: int, crossing: int) -> None:
+        nonlocal num, den, best, ties_at_best
+        into = [0] * (parts + 1)  # into[b]: v's edges to earlier vertices in block b
+        for u in earlier[v]:
+            into[block_of[u]] += 1
+        crossing += len(earlier[v])
+        for b in range(parts + 1):
+            block_of[v] = b
+            p, x = parts + (b == parts), crossing - into[b]
+            if v + 1 < n:
+                place(v + 1, p, x)
+            elif p >= 2:
+                c = x * den - num * (p - 1)
+                if c < 0 or (c == 0 and p - 1 > den):  # ties go to more parts
+                    num, den, best, ties_at_best = x, p - 1, tuple(block_of), 1
+                elif c == 0 and p - 1 == den:
+                    ties_at_best += 1
+
+    place(1, 1, 0)  # vertex 0 opens block 0
     assert den
     assert ties_at_best == 1, "finest minimizing partition should be unique"
-    block_of = {v: b for b, part in enumerate(best_parts) for v in part}
-    return Fraction(num, den), best_parts, [(block_of[u], block_of[v]) for u, v in ends]
+    parts = tuple(tuple(v for v in range(n) if best[v] == b) for b in range(den + 1))
+    return Fraction(num, den), parts, [(best[u], best[v]) for u, v in ends]
 
 
 def tnw_strength(g: MultiGraph) -> Fraction:
@@ -102,20 +109,15 @@ def tnw_strength(g: MultiGraph) -> Fraction:
 def tnw_ideal_loads(g: MultiGraph) -> BaseVector:
     """Independent ideal-load oracle: find the finest minimizing partition,
     assign 1/tau to its crossing edges, recurse on each part."""
-    return _strength_and_ideal_loads(g)[1]
-
-
-def _strength_and_ideal_loads(g: MultiGraph) -> tuple[Optional[Fraction], BaseVector]:
-    """tnw_ideal_loads and the strength tau(G) its first scan found (None without edges)."""
     _require_connected(g)
     out: dict[int, Fraction] = {}
-    tau = _tnw_recurse(g, list(range(g.m)), out)
-    return tau, BaseVector(tuple(range(g.m)), tuple(out[i] for i in range(g.m)))
+    _tnw_recurse(g, list(range(g.m)), out)
+    return BaseVector(tuple(range(g.m)), tuple(out[i] for i in range(g.m)))
 
 
-def _tnw_recurse(g: MultiGraph, edge_ids: list[int], out: dict[int, Fraction]) -> Optional[Fraction]:
+def _tnw_recurse(g: MultiGraph, edge_ids: list[int], out: dict[int, Fraction]) -> None:
     if not edge_ids:
-        return None
+        return
     tau, _, ends = _min_partition(g, edge_ids)
     load = 1 / tau
     groups: dict[int, list[int]] = {}
@@ -126,7 +128,6 @@ def _tnw_recurse(g: MultiGraph, edge_ids: list[int], out: dict[int, Fraction]) -
             groups.setdefault(pu, []).append(i)
     for sub in groups.values():
         _tnw_recurse(g, sub, out)
-    return tau
 
 
 def _mst_lmo(g: MultiGraph):

@@ -123,7 +123,7 @@ def test_criterion_04_peel_is_an_additive_approximate_oracle():
     for _ in range(200):
         g = random_multigraph(rng, n_max=8, m_max=14)
         w = [rng.randint(0, 20) for _ in range(g.n)]
-        sq = sum(g.degree(v) ** 2 for v in range(g.n))
+        sq = sum(d * d for d in g.degrees)
         dstar = optimal_orientation(g, w)[1]
         base = dstar.dot(w)
         if weighted_greedy(g, w).dhat.dot(w) > base + sq:

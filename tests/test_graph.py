@@ -55,7 +55,7 @@ class TestParseEdgeList:
     def test_unseen_ids_become_isolated_vertices(self):
         g = parse_edge_list("0 4")
         assert g.n == 5
-        assert g.degree(2) == 0
+        assert g.degrees[2] == 0
 
     def test_wrong_token_count_reports_line(self):
         with pytest.raises(GraphParseError) as exc:
@@ -90,26 +90,21 @@ class TestParseEdgeList:
 
 class TestDegree:
     def test_triangle(self):
-        assert triangle().degree(0) == 2
+        assert triangle().degrees == (2, 2, 2)
 
     def test_star_center(self):
-        assert star().degree(0) == 3
+        assert star().degrees == (3, 1, 1, 1)
 
     def test_parallel_edges_count_with_multiplicity(self):
         g = parse_edge_list("0 1\n0 1")
-        assert g.degree(0) == 2
-
-    def test_invalid_vertex(self):
-        with pytest.raises(ValueError):
-            triangle().degree(3)
-        with pytest.raises(ValueError):
-            triangle().degree(-1)
+        assert g.degrees == (2, 2)
 
     def test_degree_sum_is_twice_edges(self):
         rng = random.Random(7)
         for _ in range(20):
             g = random_connected_graph(rng)
-            assert sum(g.degree(v) for v in range(g.n)) == 2 * g.m
+            assert len(g.degrees) == g.n
+            assert sum(g.degrees) == 2 * g.m
 
 
 class TestComponents:
@@ -150,6 +145,11 @@ class TestMinimumSpanningTree:
         g = MultiGraph(4, ((0, 1), (2, 3)))
         with pytest.raises(DisconnectedGraphError):
             minimum_spanning_tree(g, (1, 1))
+
+    def test_one_vertex_and_an_isolated_vertex(self):
+        assert minimum_spanning_tree(MultiGraph(1, ()), ()) == ()
+        with pytest.raises(DisconnectedGraphError):
+            minimum_spanning_tree(MultiGraph(3, ((0, 1), (1, 0))), (1, 2))
 
     def test_weight_length_checked(self):
         with pytest.raises(ValueError):

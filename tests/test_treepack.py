@@ -18,7 +18,6 @@ from conftest import (
     triangle,
 )
 from densefw import (
-    AVERAGING,
     STANDARD,
     MultiGraph,
     decompose_submodular_deletion,
@@ -32,7 +31,8 @@ from densefw import (
     verify_base,
 )
 from densefw.errors import DisconnectedGraphError, GroundSetTooLargeError
-from densefw.treepack import _min_partition, _mst_lmo, _partitions
+from densefw.graph import minimum_spanning_tree
+from densefw.treepack import PARTITION_CAP, _min_partition, _mst_lmo
 
 
 def cycle(n):
@@ -113,32 +113,46 @@ class TestStrength:
             tnw_strength(cycle(11))
 
 
+def _partitions(n: int):
+    """Every set partition of range(n) as a tuple of sorted blocks: each
+    partition of range(n - 1) with n - 1 added to one of its blocks or
+    placed in a block of its own."""
+    if n == 0:
+        yield ()
+        return
+    last = n - 1
+    for parts in _partitions(last):
+        for i, block in enumerate(parts):
+            yield parts[:i] + (block + (last,),) + parts[i + 1 :]
+        yield parts + ((last,),)
+
+
 def fraction_min_partition(g, edge_ids):
-    """The partition scan keyed by (Fraction(crossing, parts - 1), -parts)
-    that _min_partition's integer comparison replaced: tau, the finest
-    minimizing partition, each edge's pair of blocks, and how many
-    partitions reach tau."""
+    """Reference for _min_partition, sharing no code with it: each partition
+    from the recursive enumerator, relabelled and rescanned edge by edge,
+    tallied by (crossing, parts); the least (Fraction(crossing, parts - 1),
+    -parts) wins. Returns tau, the finest minimizing partition, each edge's
+    pair of blocks, and how many partitions reach tau."""
     verts = sorted({v for i in edge_ids for v in g.edges[i]})
     local = {v: i for i, v in enumerate(verts)}
     ends = [(local[g.edges[i][0]], local[g.edges[i][1]]) for i in edge_ids]
     block_of = [0] * len(verts)
-    best, ties, reach = None, 0, {}
+    first, count = {}, {}  # by (crossing, parts): the first such partition, and how many
     for parts in _partitions(len(verts)):
         if len(parts) < 2:
             continue
         for b, part in enumerate(parts):
             for v in part:
                 block_of[v] = b
-        crossing = sum(1 for u, v in ends if block_of[u] != block_of[v])
-        key = (Fraction(crossing, len(parts) - 1), -len(parts))
-        reach[key[0]] = reach.get(key[0], 0) + 1
-        if best is None or key < best:
-            best, best_parts, ties = key, parts, 1
-        elif key == best:
-            ties += 1
-    assert ties == 1
-    block_of = {v: b for b, part in enumerate(best_parts) for v in part}
-    return best[0], best_parts, [(block_of[u], block_of[v]) for u, v in ends], reach[best[0]]
+        pair = (sum(1 for u, v in ends if block_of[u] != block_of[v]), len(parts))
+        first.setdefault(pair, parts)
+        count[pair] = count.get(pair, 0) + 1
+    best = min(first, key=lambda pair: (Fraction(pair[0], pair[1] - 1), -pair[1]))
+    assert count[best] == 1
+    tau = Fraction(best[0], best[1] - 1)
+    block_of = {v: b for b, part in enumerate(first[best]) for v in part}
+    reach = sum(c for (x, p), c in count.items() if Fraction(x, p - 1) == tau)
+    return tau, first[best], [(block_of[u], block_of[v]) for u, v in ends], reach
 
 
 class TestPartitionOracle:
@@ -176,6 +190,13 @@ class TestPartitionOracle:
             assert _min_partition(g, ids) == (tau, parts, ends)
             tied += reach > 1
         assert tied >= 50  # several partitions share tau, so the tie rule decides
+        for n, count in ((9, 3), (PARTITION_CAP, 2)):  # at and below the cap, on every edge
+            for _ in range(count):
+                g = random_connected_graph(rng, n_max=n, extra_max=8)
+                while g.n != n:
+                    g = random_connected_graph(rng, n_max=n, extra_max=8)
+                tau, parts, ends, _ = fraction_min_partition(g, range(g.m))
+                assert _min_partition(g, range(g.m)) == (tau, parts, ends)
 
 
 class TestGreedyPacking:
@@ -209,15 +230,23 @@ class TestGreedyPacking:
             assert all(-1e-12 <= v <= 1 + 1e-12 for v in loads.values)
 
     def test_greedy_is_averaging_frank_wolfe(self):
-        for g in (triangle(), tri_pendant(), k4()):
-            ref = ideal_loads(g)
-            l1, t1 = fw_tree_pack(g, 200, ref=ref)
-            l2, t2 = fw_tree_pack(g, 200, schedule=AVERAGING, ref=ref)
-            assert l1.values == l2.values
-            assert len(t1.records) == len(t2.records)
-            for a, b in zip(t1.records, t2.records):
-                assert (a.k, a.objective, a.gamma, a.dist_ref) == (
-                    b.k, b.objective, b.gamma, b.dist_ref)
+        """Literal greedy packing through minimum_spanning_tree alone: the
+        first tree is the MST under the indicator of the zero-weight MST,
+        each later one the MST under the integer tree counts, and the k-tree
+        loads are the counts over k."""
+        graphs = [triangle(), tri_pendant(), k4(), three_tier()]
+        rng = random.Random(7)
+        graphs += [random_connected_graph(rng) for _ in range(10)]
+        for g in graphs:
+            zero_tree = minimum_spanning_tree(g, [0] * g.m)
+            tree = minimum_spanning_tree(g, [int(i in zero_tree) for i in range(g.m)])
+            counts = [0] * g.m
+            for k in range(1, 121):
+                for i in tree:
+                    counts[i] += 1
+                if k <= 40 or k == 120:
+                    assert fw_tree_pack(g, k)[0].values == tuple(c / k for c in counts)
+                tree = minimum_spanning_tree(g, counts)
 
     def test_standard_schedule_hits_tolerance_within_budget(self):
         eps = 0.02

@@ -9,9 +9,11 @@ the whole list with size guards; the test suite calls the pieces directly.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 from . import decomp, fw, peel, polytope, setfn, treepack
 from .graph import MultiGraph, is_connected
@@ -30,8 +32,13 @@ def curvature_witness(g: MultiGraph) -> int:
     Lands in [2m, 2 * sum deg^2]; the witness pair certifies the lower end
     of the curvature bracket.
     """
-    rows = set(integral_orientation_loads(g))
-    return 2 * max(sum((a - b) ** 2 for a, b in zip(s, x)) for s in rows for x in rows)
+    rows = list(set(integral_orientation_loads(g)))
+    # Squared distances are ints up to (2m)^2, so distinct ones have square
+    # roots much further apart than math.dist's rounding error: the float
+    # search finds a farthest pair, whose distance is then taken in ints.
+    s = max(rows, key=lambda s: max(map(math.dist, repeat(s), rows)))
+    x = max(rows, key=lambda x: math.dist(s, x))
+    return 2 * sum((a - b) ** 2 for a, b in zip(s, x))
 
 
 @dataclass

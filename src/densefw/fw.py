@@ -22,6 +22,7 @@ for the edge-count polytope is bracketed by [2m, 2 * sum deg^2].
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -102,19 +103,20 @@ def frank_wolfe(
         if k == 1:
             q = answer.values  # gamma_0 = 1 under either schedule
         elif averaging:
-            q = [t + dv for t, dv in zip(q, answer.values)]
+            q = list(map(operator.add, q, answer.values))
         else:
             g = gamma if exact else float(gamma)
-            q = [(1 - g) * t + g * dv for t, dv in zip(q, answer.values)]
+            keep = 1 - g
+            q = [keep * t + g * dv for t, dv in zip(q, answer.values)]
         scale = k if averaging else 1
         if exact:
-            objective = float(sum(t * t for t in q) / (scale * scale))
+            objective = float(sum(map(operator.mul, q, q)) / (scale * scale))
             x = [float(t / scale) for t in q] if refv is not None else None
         else:
             x = [float(t) / scale for t in q]
-            if not all(math.isfinite(v) for v in x):
+            if not all(map(math.isfinite, x)):
                 raise NumericalError(f"non-finite iterate at iteration {k}")
-            objective = sum(v * v for v in x)
+            objective = sum(map(operator.mul, x, x))
         dist = None
         if refv is not None:
             dist = math.sqrt(sum((v - r) ** 2 for v, r in zip(x, refv)))

@@ -129,13 +129,13 @@ def is_connected(g: MultiGraph) -> bool:
 def minimum_spanning_tree(g: MultiGraph, weights: Sequence) -> tuple[int, ...]:
     """Edge indices of the minimum-weight spanning tree (Kruskal).
 
-    Ties break toward the smaller edge index, which makes the result a
-    deterministic function of the weight vector. Raises on disconnected
-    input.
+    Edges are taken in a stable sort by weight, so ties break toward the
+    smaller edge index, which makes the result a deterministic function of
+    the weight vector. Raises on disconnected input.
     """
     if len(weights) != g.m:
         raise ValueError(f"expected {g.m} weights, got {len(weights)}")
-    order = sorted(range(g.m), key=lambda i: (weights[i], i))
+    order = sorted(range(g.m), key=weights.__getitem__)
     edges = g.edges
     parent = list(range(g.n))
     chosen: list[int] = []

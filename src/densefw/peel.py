@@ -42,34 +42,40 @@ class PeelResult:
     dhat: BaseVector
 
 
-def weighted_greedy(g: MultiGraph, w: Sequence) -> PeelResult:
+def weighted_greedy(g: MultiGraph, w: Sequence[int]) -> PeelResult:
     """Peel argmin w(u) + deg(u), ties to the smaller vertex index.
 
-    Lazy binary heap: stale entries are skipped by comparing the stored
-    degree against the live one. Integer weights stay exact.
+    Weights must be ints (any sign, any size); anything else raises
+    ValueError. Lazy binary heap of one int per entry, key * n + u with
+    key = w(u) + deg(u): as 0 <= u < n, these ints order like (key, u).
+    An entry is stale when it differs from the vertex's live one, which is
+    None once the vertex is peeled.
     """
     n = g.n
     if len(w) != n:
         raise ValueError(f"expected {n} weights, got {len(w)}")
-    deg = list(g.degrees)
+    if not set(map(type, w)) <= {int}:
+        raise ValueError("weighted_greedy needs int weights")
+    deg = g.degrees
     adj = g.adjacency
-    alive = [True] * n
-    heap = [(w[u] + deg[u], u, deg[u]) for u in range(n)]
+    live = [(w[u] + deg[u]) * n + u for u in range(n)]
+    heap = live[:]
     heapq.heapify(heap)
+    pop, push = heapq.heappop, heapq.heappush
     order: list[int] = []
     dhat: list[int] = [0] * n
     for _ in range(n):
-        while True:
-            _, u, du = heapq.heappop(heap)
-            if alive[u] and du == deg[u]:
-                break
+        e = pop(heap)
+        while e != live[e % n]:
+            e = pop(heap)
+        u = e % n
         order.append(u)
-        dhat[u] = deg[u]
-        alive[u] = False
+        dhat[u] = e // n - w[u]  # the degree left at removal
+        live[u] = None
         for x in adj[u]:
-            if alive[x]:
-                deg[x] -= 1
-                heapq.heappush(heap, (w[x] + deg[x], x, deg[x]))
+            if live[x] is not None:
+                live[x] -= n  # one edge fewer: key - 1
+                push(heap, live[x])
     return PeelResult(tuple(order), BaseVector(tuple(range(n)), tuple(dhat)))
 
 

@@ -134,8 +134,10 @@ def _mst_lmo(g: MultiGraph):
     edge_ground = tuple(range(g.m))
 
     def lmo(weights) -> BaseVector:
-        tree = set(minimum_spanning_tree(g, weights))
-        return BaseVector(edge_ground, tuple(1 if i in tree else 0 for i in edge_ground))
+        load = [0] * g.m
+        for i in minimum_spanning_tree(g, weights):
+            load[i] = 1
+        return BaseVector(edge_ground, tuple(load))
 
     return lmo
 

@@ -1,8 +1,10 @@
 """The bundled invariant checker, exercised on small instances."""
 
+import random
+
 import pytest
 
-from conftest import k4, single_edge, three_tier, tri_pendant, triangle
+from conftest import k4, random_multigraph, single_edge, three_tier, tri_pendant, triangle
 from densefw import MultiGraph, curvature_bounds, edge_count_fn, verify_base
 from densefw.checks import (
     curvature_witness,
@@ -41,6 +43,14 @@ class TestCurvatureWitness:
         for g in (single_edge(), triangle(), tri_pendant(), k4()):
             lo, hi = curvature_bounds(g)
             assert lo <= curvature_witness(g) <= hi
+
+    def test_matches_pairwise_maximum(self):
+        rng = random.Random(29)
+        for _ in range(100):
+            g = random_multigraph(rng, n_max=8, m_max=10)
+            rows = set(integral_orientation_loads(g))
+            want = 2 * max(sum((a - b) ** 2 for a, b in zip(s, x)) for s in rows for x in rows)
+            assert curvature_witness(g) == want
 
 
 class TestRunInstanceChecks:

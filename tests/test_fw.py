@@ -194,9 +194,10 @@ class TestFrankWolfe:
             frank_wolfe(lambda w: None, (0,), schedule=STANDARD, iterations=21, exact=True)
 
     def test_non_finite_iterate_detected(self):
-        bad = lambda w: BaseVector((0,), (float("inf"),))
-        with pytest.raises(NumericalError):
-            frank_wolfe(bad, (0.0,), iterations=3)
+        for values in ((float("inf"),), (float("nan"),), (1.0, 0.0, float("nan")), (2.0, float("-inf"))):
+            bad = lambda w, values=values: BaseVector(tuple(range(len(values))), values)
+            with pytest.raises(NumericalError):
+                frank_wolfe(bad, (0.0,) * len(values), iterations=3)
 
 
 class TestTrace:

@@ -1,6 +1,7 @@
 """Multigraph construction, parsing, components, and the deterministic MST."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -131,6 +132,25 @@ class TestComponents:
             prev = cur
 
 
+def kruskal_by_key(g, w):
+    """Kruskal over the edges sorted by the key (weight, index): the tie
+    rule minimum_spanning_tree keeps with a stable sort."""
+    parent = list(range(g.n))
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    chosen = []
+    for i in sorted(range(g.m), key=lambda i: (w[i], i)):
+        u, v = map(find, g.edges[i])
+        if u != v:
+            parent[v] = u
+            chosen.append(i)
+    return tuple(sorted(chosen))
+
+
 class TestMinimumSpanningTree:
     def test_unique_mst(self):
         assert minimum_spanning_tree(triangle(), (1, 2, 3)) == (0, 1)
@@ -160,9 +180,15 @@ class TestMinimumSpanningTree:
         for _ in range(25):
             g = random_connected_graph(rng)
             w = [rng.randint(0, 9) for _ in range(g.m)]
-            tree = minimum_spanning_tree(g, w)
-            assert len(tree) == g.n - 1
-            assert components(g, tree) == 1
+            ties = [rng.randint(0, 1) for _ in range(g.m)]
+            thirds = [Fraction(x, 3) for x in ties]
+            floats = [x / 3 for x in ties]
+            mixed = [(thirds if i % 2 else floats)[i] for i in range(g.m)]
+            for weights in (w, ties, thirds, floats, mixed):
+                tree = minimum_spanning_tree(g, weights)
+                assert len(tree) == g.n - 1
+                assert components(g, tree) == 1
+                assert tree == kruskal_by_key(g, weights)
 
     def test_affine_weight_invariance(self):
         rng = random.Random(13)

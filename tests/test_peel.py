@@ -1,5 +1,6 @@
 """Weighted peeling passes and the iterated peeling density maximizers."""
 
+import heapq
 import math
 import random
 import time
@@ -7,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     multigraphs,
@@ -40,6 +42,29 @@ def modular(ground, per_element):
     return SetFunctionOracle(tuple(ground), SUPERMODULAR, True, True, lambda s: c * len(s))
 
 
+def tuple_heap_peel(g, w):
+    """weighted_greedy with (key, vertex, degree) heap entries: the reference
+    its one-int entries must reproduce, order and marginals alike."""
+    deg = list(g.degrees)
+    alive = [True] * g.n
+    heap = [(w[u] + deg[u], u, deg[u]) for u in range(g.n)]
+    heapq.heapify(heap)
+    order, dhat = [], [0] * g.n
+    for _ in range(g.n):
+        while True:
+            _, u, du = heapq.heappop(heap)
+            if alive[u] and du == deg[u]:
+                break
+        order.append(u)
+        dhat[u] = deg[u]
+        alive[u] = False
+        for x in g.adjacency[u]:
+            if alive[x]:
+                deg[x] -= 1
+                heapq.heappush(heap, (w[x] + deg[x], x, deg[x]))
+    return tuple(order), tuple(dhat)
+
+
 class TestWeightedGreedy:
     def test_triangle_peels_in_index_order(self):
         r = weighted_greedy(triangle(), (0, 0, 0))
@@ -60,6 +85,26 @@ class TestWeightedGreedy:
     def test_weight_length_checked(self):
         with pytest.raises(ValueError):
             weighted_greedy(triangle(), (0, 0))
+
+    @pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(2), 0.0, 1.5])
+    def test_non_int_weight_rejected(self, bad):
+        with pytest.raises(ValueError, match="int weights"):
+            weighted_greedy(triangle(), (0, bad, 0))
+
+    @settings(deadline=None, max_examples=80)
+    @given(multigraphs(n_max=8, m_max=14), st.data())
+    def test_matches_tuple_heap_peel(self, g, data):
+        signed = st.integers(-12, 12)
+        spread = st.one_of(st.integers(0, 2), st.integers(0, 10**18))
+        for weights in (signed, spread):
+            w = data.draw(st.lists(weights, min_size=g.n, max_size=g.n))
+            r = weighted_greedy(g, w)
+            assert (r.order, r.dhat.values) == tuple_heap_peel(g, w)
+        w = [0] * g.n  # Greedy++ cumulative loads
+        for _ in range(8):
+            r = weighted_greedy(g, w)
+            assert (r.order, r.dhat.values) == tuple_heap_peel(g, w)
+            w = [a + b for a, b in zip(w, r.dhat.values)]
 
     @settings(deadline=None, max_examples=50)
     @given(multigraphs())

@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
 
 from . import decomp, fw, peel, polytope, setfn, treepack
+from .errors import Record
 from .graph import MultiGraph, is_connected
 
 
@@ -41,11 +41,16 @@ def curvature_witness(g: MultiGraph) -> int:
     return 2 * sum((a - b) ** 2 for a, b in zip(s, x))
 
 
-@dataclass
-class CheckResult:
+class CheckResult(Record):
     name: str
     ok: bool
-    detail: str = ""
+    detail: str
+    _fields = ("name", "ok", "detail")
+
+    def __init__(self, name: str, ok: bool, detail: str = ""):
+        self.name = name
+        self.ok = ok
+        self.detail = detail
 
 
 def run_instance_checks(g: MultiGraph, seed: int = 0) -> list[CheckResult]:

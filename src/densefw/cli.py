@@ -6,6 +6,9 @@ Subcommands read an edge-list file and print one JSON object to stdout (or
 output. Exit codes: 0 success, 2 malformed input, 3 structurally
 infeasible request (disconnected graph, ground set too large, degenerate
 oracle), 64 unknown subcommand or flag.
+
+Each handler imports the modules its subcommand runs, so a call loads
+only those: start-up is a large share of a short run.
 """
 
 from __future__ import annotations
@@ -15,9 +18,8 @@ import json
 import math
 import sys
 from fractions import Fraction
-from typing import Optional
 
-from . import checks, decomp, fw, peel, polytope, setfn, treepack
+from . import setfn
 from .errors import GraphParseError
 from .graph import MultiGraph, parse_edge_list
 
@@ -90,7 +92,7 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _emit(obj: dict, out: Optional[str]) -> None:
+def _emit(obj: dict, out: str | None) -> None:
     text = json.dumps(obj, separators=(",", ":")) + "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -107,17 +109,23 @@ def _load_graph(path: str) -> MultiGraph:
 def _ref(ns: argparse.Namespace, f: setfn.SetFunctionOracle):
     """density_vector(f) if --trace/--epsilon wants it and f fits REF_SIZE_CAP."""
     if (ns.trace or ns.epsilon is not None) and len(f.ground) <= REF_SIZE_CAP:
+        from . import decomp
+
         return decomp.density_vector(f)
     return None
 
 
 def _cmd_density(ns: argparse.Namespace, g: MultiGraph) -> int:
+    from . import decomp
+
     best, dens = decomp.densest_set_bruteforce(setfn.edge_count_fn(g))
     _emit({"set": sorted(best), "density": str(dens)}, ns.out)
     return EXIT_OK
 
 
 def _cmd_decompose(ns: argparse.Namespace, g: MultiGraph) -> int:
+    from . import decomp
+
     if ns.variant == "sup":
         f = setfn.edge_count_fn(g)
         dec = decomp.decompose_supermodular(f)
@@ -137,6 +145,8 @@ def _run_trace(ns: argparse.Namespace, trace) -> None:
 
 
 def _cmd_greedypp(ns: argparse.Namespace, g: MultiGraph) -> int:
+    from . import peel
+
     res = peel.greedy_pp(g, ns.iters, ref=_ref(ns, setfn.edge_count_fn(g)), stop_dist=ns.epsilon)
     _run_trace(ns, res.trace)
     _emit(res.to_json_dict(), ns.out)
@@ -144,6 +154,8 @@ def _cmd_greedypp(ns: argparse.Namespace, g: MultiGraph) -> int:
 
 
 def _cmd_supergreedypp(ns: argparse.Namespace, g: MultiGraph) -> int:
+    from . import peel
+
     if ns.fn == "edges":
         f = setfn.edge_count_fn(g)
     else:
@@ -155,6 +167,8 @@ def _cmd_supergreedypp(ns: argparse.Namespace, g: MultiGraph) -> int:
 
 
 def _cmd_treepack(ns: argparse.Namespace, g: MultiGraph) -> int:
+    from . import fw, treepack
+
     ref = None
     if (ns.trace or ns.epsilon is not None) and g.m <= setfn.ENUM_CAP:
         ref = treepack.ideal_loads(g)
@@ -173,12 +187,16 @@ def _cmd_treepack(ns: argparse.Namespace, g: MultiGraph) -> int:
 
 
 def _cmd_idealloads(ns: argparse.Namespace, g: MultiGraph) -> int:
+    from . import treepack
+
     loads = treepack.ideal_loads(g)
     _emit({str(e): str(v) for e, v in zip(loads.ground, loads.values)}, ns.out)
     return EXIT_OK
 
 
 def _cmd_fw_qp(ns: argparse.Namespace, g: MultiGraph) -> int:
+    from . import fw, polytope
+
     lmo = lambda w: polytope.optimal_orientation(g, w)[1]
     ref = _ref(ns, setfn.edge_count_fn(g))
     if ns.exact and ns.iters > fw.EXACT_ITERATION_CAP:  # for either schedule, as documented under --exact
@@ -205,6 +223,8 @@ def _cmd_fw_qp(ns: argparse.Namespace, g: MultiGraph) -> int:
 
 
 def _cmd_verify(ns: argparse.Namespace, g: MultiGraph) -> int:
+    from . import checks
+
     results = checks.run_instance_checks(g, seed=ns.seed)
     ok = all(r.ok for r in results)
     _emit(
@@ -229,7 +249,7 @@ _COMMANDS = {
 }
 
 
-def run(argv: Optional[list[str]] = None) -> int:
+def run(argv: list[str] | None = None) -> int:
     """Parse argv, execute, return the exit code."""
     parser = _build_parser()
     try:

@@ -25,10 +25,9 @@ elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegenerateDecompositionError, OracleFlagError
+from .errors import DegenerateDecompositionError, FrozenRecord, OracleFlagError
 from .polytope import BaseVector, _exact, lmo
 from .setfn import SUBMODULAR, SUPERMODULAR, SetFunctionOracle, contract, dualize, restrict, walk
 
@@ -36,20 +35,21 @@ CONTRACTION = "supermodular_contraction"
 DELETION = "submodular_deletion"
 
 
-@dataclass(frozen=True)
-class DenseDecomposition:
+class DenseDecomposition(FrozenRecord):
     """Ordered blocks with their densities (contraction variant, strictly
     decreasing) or ratios (deletion variant, strictly increasing)."""
 
     variant: str
     blocks: tuple[tuple[int, ...], ...]
     densities: tuple[Fraction, ...]
+    _fields = ("variant", "blocks", "densities")
 
-    def __post_init__(self):
-        if self.variant not in (CONTRACTION, DELETION):
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if len(self.blocks) != len(self.densities):
+    def __init__(self, variant: str, blocks: tuple[tuple[int, ...], ...], densities: tuple[Fraction, ...]):
+        if variant not in (CONTRACTION, DELETION):
+            raise ValueError(f"unknown variant {variant!r}")
+        if len(blocks) != len(densities):
             raise ValueError("blocks/densities length mismatch")
+        self.__dict__.update(variant=variant, blocks=blocks, densities=densities)
 
     def vector(self, ground: tuple[int, ...]) -> BaseVector:
         """Density vector over `ground`: each element gets its block's

@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from collections.abc import Callable, Sequence
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
 
-from .errors import NumericalError
+from .errors import NumericalError, Record
 from .graph import MultiGraph
 from .polytope import BaseVector
 
@@ -36,21 +35,30 @@ AVERAGING = "avg"  # step schedule gamma_k = 1/(k+1), the CLI's --schedule avg
 STANDARD = "standard"  # step schedule gamma_k = 2/(k+2)
 
 
-@dataclass
-class TraceRecord:
+class TraceRecord(Record):
     k: int
     objective: float
     gamma: float
-    dist_ref: Optional[float]
+    dist_ref: float | None
+    _fields = ("k", "objective", "gamma", "dist_ref")
+
+    def __init__(self, k: int, objective: float, gamma: float, dist_ref: float | None):
+        self.k = k
+        self.objective = objective
+        self.gamma = gamma
+        self.dist_ref = dist_ref
 
 
-@dataclass
-class ConvergenceTrace:
+class ConvergenceTrace(Record):
     """Per-iteration log. Row k describes iterate b^(k): the objective
     sum(b^2), the step size used to produce it, and an optional distance
     to a reference vector."""
 
-    records: list[TraceRecord] = field(default_factory=list)
+    records: list[TraceRecord]
+    _fields = ("records",)
+
+    def __init__(self, records: list[TraceRecord] | None = None):
+        self.records = [] if records is None else records
 
     def to_csv(self) -> str:
         lines = ["k,objective,gamma,dist_ref"]
@@ -70,9 +78,9 @@ def frank_wolfe(
     *,
     schedule: str = AVERAGING,
     iterations: int = 100,
-    ref: Optional[Sequence] = None,
+    ref: Sequence | None = None,
     exact: bool = False,
-    stop_dist: Optional[float] = None,
+    stop_dist: float | None = None,
 ) -> tuple[BaseVector, ConvergenceTrace]:
     """Run T iterations of Frank-Wolfe on min sum(x^2).
 

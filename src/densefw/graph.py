@@ -9,31 +9,31 @@ breaks toward the smaller vertex or edge index so that runs are repeatable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from functools import cached_property
-from typing import Iterable, Sequence
 
-from .errors import DisconnectedGraphError, GraphParseError
+from .errors import DisconnectedGraphError, FrozenRecord, GraphParseError
 
 VERTEX_CAP = 10**6  # largest vertex id parse_edge_list accepts
 
 
-@dataclass(frozen=True)
-class MultiGraph:
+class MultiGraph(FrozenRecord):
     """Immutable multigraph on vertices 0..n-1."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
+    _fields = ("n", "edges")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
+        if n < 1:
             raise ValueError("graph needs at least one vertex")
-        object.__setattr__(self, "edges", tuple((int(u), int(v)) for u, v in self.edges))
-        for u, v in self.edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
+        edges = tuple((int(u), int(v)) for u, v in edges)
+        for u, v in edges:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u} is not allowed")
+        self.__dict__.update(n=n, edges=edges)
 
     @property
     def m(self) -> int:

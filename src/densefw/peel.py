@@ -20,11 +20,10 @@ round is plain unweighted peeling).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from collections.abc import Sequence
 from fractions import Fraction
-from typing import Optional, Sequence
 
-from .errors import GroundSetTooLargeError, OracleFlagError
+from .errors import FrozenRecord, GroundSetTooLargeError, OracleFlagError, Record
 from .fw import ConvergenceTrace, frank_wolfe
 from .graph import MultiGraph
 from .polytope import BaseVector
@@ -33,13 +32,16 @@ from .setfn import SUPERMODULAR, SetFunctionOracle
 SUPERGREEDY_CAP = 200  # largest ground set Super-Greedy++ accepts: one round makes O(n^2) oracle calls
 
 
-@dataclass(frozen=True)
-class PeelResult:
+class PeelResult(FrozenRecord):
     """One peeling pass: removal order and recorded marginals (a base
     vector); dhat summed over order[i:] is f of that suffix."""
 
     order: tuple[int, ...]
     dhat: BaseVector
+    _fields = ("order", "dhat")
+
+    def __init__(self, order: tuple[int, ...], dhat: BaseVector):
+        self.__dict__.update(order=order, dhat=dhat)
 
 
 def weighted_greedy(g: MultiGraph, w: Sequence[int]) -> PeelResult:
@@ -130,8 +132,7 @@ def _supergreedy(f: SetFunctionOracle, w: Sequence, cache: dict) -> PeelResult:
     return PeelResult(tuple(order), BaseVector(tuple(ground), tuple(dhat)))
 
 
-@dataclass
-class GreedyPPResult:
+class GreedyPPResult(Record):
     """Outcome of iterated peeling.
 
     best_set/best_density: densest suffix seen anywhere, exact arithmetic,
@@ -144,6 +145,21 @@ class GreedyPPResult:
     x: BaseVector
     iterations: int
     trace: ConvergenceTrace
+    _fields = ("best_set", "best_density", "x", "iterations", "trace")
+
+    def __init__(
+        self,
+        best_set: frozenset[int],
+        best_density: Fraction,
+        x: BaseVector,
+        iterations: int,
+        trace: ConvergenceTrace,
+    ):
+        self.best_set = best_set
+        self.best_density = best_density
+        self.x = x
+        self.iterations = iterations
+        self.trace = trace
 
     def to_json_dict(self) -> dict:
         return {
@@ -187,7 +203,7 @@ def greedy_pp(
     g: MultiGraph,
     iterations: int,
     ref=None,
-    stop_dist: Optional[float] = None,
+    stop_dist: float | None = None,
 ) -> GreedyPPResult:
     """Iterated degree peeling with cumulative integer weights. One
     iteration is plain unweighted peeling; the densest suffix across all
@@ -199,7 +215,7 @@ def supergreedy_pp(
     f: SetFunctionOracle,
     iterations: int,
     ref=None,
-    stop_dist: Optional[float] = None,
+    stop_dist: float | None = None,
 ) -> GreedyPPResult:
     """Iterated supermodular peeling with cumulative rational weights; one
     value cache serves the whole run, as rounds repeat sets once the order settles."""

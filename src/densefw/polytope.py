@@ -13,18 +13,16 @@ is exactly Kruskal's algorithm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import permutations
-from typing import Sequence
 
-from .errors import GroundSetTooLargeError, OracleFlagError
+from .errors import FrozenRecord, GroundSetTooLargeError, OracleFlagError
 from .graph import MultiGraph
 from .setfn import SUBMODULAR, SetFunctionOracle, walk
 
 
-@dataclass(frozen=True)
-class BaseVector:
+class BaseVector(FrozenRecord):
     """A point of a base polytope: values aligned with `ground` by position.
 
     Values are exact rationals for oracle outputs and certificates, floats
@@ -34,12 +32,13 @@ class BaseVector:
 
     ground: tuple[int, ...]
     values: tuple
+    _fields = ("ground", "values")
 
-    def __post_init__(self):
-        object.__setattr__(self, "ground", tuple(self.ground))
-        object.__setattr__(self, "values", tuple(self.values))
-        if len(self.ground) != len(self.values):
+    def __init__(self, ground: Iterable[int], values: Iterable):
+        ground, values = tuple(ground), tuple(values)
+        if len(ground) != len(values):
             raise ValueError("ground/values length mismatch")
+        self.__dict__.update(ground=ground, values=values)
 
     def dot(self, w: Sequence):
         if len(w) != len(self.values):
@@ -177,8 +176,7 @@ def verify_bases(f: SetFunctionOracle, xs, tol=0) -> list[bool]:
     return ok
 
 
-@dataclass(frozen=True)
-class Orientation:
+class Orientation(FrozenRecord):
     """Fractional orientation of a multigraph.
 
     share_first[i] is the fraction of edge i charged to its first-listed
@@ -187,6 +185,10 @@ class Orientation:
     """
 
     share_first: tuple
+    _fields = ("share_first",)
+
+    def __init__(self, share_first: tuple):
+        self.__dict__.update(share_first=share_first)
 
     def is_valid(self) -> bool:
         return all(0 <= s <= 1 for s in self.share_first)

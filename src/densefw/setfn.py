@@ -13,37 +13,48 @@ such scan is one `walk`, a Gray-code pass over int masks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable
 from fractions import Fraction
-from typing import Callable, Iterable
 
-from .errors import GroundSetTooLargeError, OracleFlagError
+from .errors import FrozenRecord, GroundSetTooLargeError, OracleFlagError
 from .graph import MultiGraph, components
 
 SUBMODULAR = "submodular"
 SUPERMODULAR = "supermodular"
 
 
-@dataclass(frozen=True)
-class SetFunctionOracle:
-    """Exact-valued set function f: 2^ground -> Q with declared structure."""
+class SetFunctionOracle(FrozenRecord):
+    """Exact-valued set function f: 2^ground -> Q with declared structure.
+    Equality compares `_eval` but not `_gains`."""
 
     ground: tuple[int, ...]
     kind: str
     monotone: bool
     normalized: bool
-    _eval: Callable[[frozenset[int]], Fraction | int] = field(repr=False)
+    _eval: Callable[[frozenset[int]], Fraction | int]
     # Optional hook for `walk`: _gains(elems, base) returns gain(mask, j) =
     # f(S | base | {elems[j]}) - f(S | base), where bit j is clear in mask and
     # S is the subset of elems whose positions are set in mask.
-    _gains: Callable | None = field(default=None, repr=False, compare=False)
+    _gains: Callable | None
+    _fields = ("ground", "kind", "monotone", "normalized", "_eval")
 
-    def __post_init__(self):
-        if self.kind not in (SUBMODULAR, SUPERMODULAR):
-            raise ValueError(f"unknown kind {self.kind!r}")
-        object.__setattr__(self, "ground", tuple(self.ground))
-        if len(set(self.ground)) != len(self.ground):
+    def __init__(
+        self,
+        ground: Iterable[int],
+        kind: str,
+        monotone: bool,
+        normalized: bool,
+        _eval: Callable[[frozenset[int]], Fraction | int],
+        _gains: Callable | None = None,
+    ):
+        if kind not in (SUBMODULAR, SUPERMODULAR):
+            raise ValueError(f"unknown kind {kind!r}")
+        ground = tuple(ground)
+        if len(set(ground)) != len(ground):
             raise ValueError("ground set has repeated elements")
+        self.__dict__.update(
+            ground=ground, kind=kind, monotone=monotone, normalized=normalized, _eval=_eval, _gains=_gains
+        )
 
     @property
     def ground_set(self) -> frozenset[int]:

@@ -20,7 +20,6 @@ tnw_ideal_loads are the cross-check used in tests and by `verify`.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
 
 from .decomp import density_vector
 from .errors import DisconnectedGraphError, GroundSetTooLargeError
@@ -147,7 +146,7 @@ def fw_tree_pack(
     iterations: int,
     schedule: str = AVERAGING,
     ref=None,
-    stop_dist: Optional[float] = None,
+    stop_dist: float | None = None,
 ) -> tuple[BaseVector, ConvergenceTrace]:
     """Frank-Wolfe on the spanning tree base polytope with the MST oracle.
 

@@ -383,13 +383,36 @@ class TestEntryPoints:
         import densefw
 
         assert [name for name in densefw.__all__ if not hasattr(densefw, name)] == []
+        namespace: dict = {}
+        exec("from densefw import *", namespace)
+        assert sorted(set(namespace) - {"__builtins__"}) == sorted(densefw.__all__)
+        with pytest.raises(AttributeError):
+            densefw.no_such_name
+        from densefw import decomp
 
-    def test_cli_import_leaves_numpy_unloaded(self):
+        assert decomp is sys.modules["densefw.decomp"]
+
+    @pytest.mark.parametrize("body, argv", [
+        pytest.param("import densefw", [], id="import-densefw"),
+        pytest.param("import densefw.cli", [], id="import-cli"),
+        *(pytest.param("from densefw.cli import run; run(sys.argv[1:])", argv, id="_".join(argv).replace("--", ""))
+          for argv in _EVERY_SUBCOMMAND),
+    ])
+    def test_import_footprint(self, data_dir, body, argv):
+        """What a fresh interpreter loads: `import densefw` alone no
+        submodule; `import densefw.cli` and every subcommand none of
+        numpy, dataclasses or inspect; greedypp neither checks nor treepack."""
+        args = [*argv, str(data_dir / "k4.el")] if argv else []
         proc = subprocess.run(
-            [sys.executable, "-c", "import sys, densefw.cli; print('numpy' in sys.modules)"],
+            [sys.executable, "-c", f"import json, sys; {body}; print(json.dumps(sorted(sys.modules)))", *args],
             capture_output=True, text=True)
-        assert proc.returncode == 0
-        assert proc.stdout == "False\n"
+        assert proc.returncode == 0, proc.stderr
+        loaded = set(json.loads(proc.stdout.splitlines()[-1]))
+        if body == "import densefw":
+            assert [m for m in loaded if m.startswith("densefw.")] == []
+        assert loaded.isdisjoint({"numpy", "dataclasses", "inspect"})
+        if argv[:1] == ["greedypp"]:
+            assert loaded.isdisjoint({"densefw.checks", "densefw.treepack"})
 
     def test_console_script(self, data_dir, tmp_path):
         """The `[project.scripts]` entry, once installed, is a working command.

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import time
+from functools import partial
 from pathlib import Path
 
 from densefw import (
@@ -30,7 +31,7 @@ from densefw import (
     greedy_pp,
     ideal_loads,
     is_connected,
-    optimal_orientation,
+    lmo,
     parse_edge_list,
     tnw_strength,
 )
@@ -68,8 +69,7 @@ def run_one(name, g, out_dir: Path, iters: int) -> dict:
     if ref is not None:
         info["peel_final_dist"] = res.trace.records[-1].dist_ref
 
-    lmo = lambda w: optimal_orientation(g, w)[1]
-    _, tr = frank_wolfe(lmo, lmo([0] * g.n).values, schedule=AVERAGING,
+    _, tr = frank_wolfe(partial(lmo, f), lmo(f, [0] * g.n).values, schedule=AVERAGING,
                         iterations=iters, ref=ref)
     tr.write_csv(out_dir / f"{name}.fwqp.csv")
     if ref is not None:

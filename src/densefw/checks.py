@@ -107,7 +107,7 @@ def run_instance_checks(g: MultiGraph, seed: int = 0) -> list[CheckResult]:
         for _ in range(10):
             w = rng.choices(range(16), k=g.n)
             dhat = peel.weighted_greedy(g, w).dhat
-            _, dstar = polytope.optimal_orientation(g, w)
+            dstar = polytope.lmo(f_edges, w)
             if dhat.dot(w) > dstar.dot(w) + sq:
                 ok = False
                 break

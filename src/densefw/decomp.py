@@ -177,9 +177,10 @@ def density_vector(f: SetFunctionOracle) -> BaseVector:
 def certify_lex_optimal(f: SetFunctionOracle, x) -> bool:
     """First-order optimality of x for min sum(x^2) over the base polytope:
     <x, v> >= <x, x> for every vertex v (Fujishige). The least <x, v> is the
-    greedy vertex at weights x (Edmonds), so this is one LMO call, n + 1
-    oracle evaluations, in exact arithmetic. Membership of x in the
-    polytope is not checked here."""
+    greedy vertex at weights x (Edmonds), so this is one LMO call in exact
+    arithmetic: O(m) through the `_chain` hook of both graph oracles and
+    their duals, n + 1 oracle evaluations for an oracle without one.
+    Membership of x in the polytope is not checked here."""
     q = _exact(x)
     return lmo(f, q).dot(q) >= sum(v * v for v in q)
 

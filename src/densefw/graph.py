@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from functools import cached_property
+from itertools import compress
 
 from .errors import DisconnectedGraphError, FrozenRecord, GraphParseError
 
@@ -135,11 +136,24 @@ def minimum_spanning_tree(g: MultiGraph, weights: Sequence) -> tuple[int, ...]:
     """
     if len(weights) != g.m:
         raise ValueError(f"expected {g.m} weights, got {len(weights)}")
-    order = sorted(range(g.m), key=weights.__getitem__)
+    taken = kruskal(g, sorted(range(g.m), key=weights.__getitem__))
+    chosen = tuple(compress(range(g.m), taken))
+    if len(chosen) != g.n - 1:
+        raise DisconnectedGraphError("graph is not connected")
+    return chosen
+
+
+def kruskal(g: MultiGraph, order: Iterable[int]) -> list[int]:
+    """Kruskal along `order`, a sequence of edge indices: 1 at each edge
+    that joins two components of the edges before it, 0 at every other
+    edge. These are the graphic rank's marginals along the order."""
     edges = g.edges
     parent = list(range(g.n))
-    chosen: list[int] = []
+    taken = [0] * len(edges)
+    left = g.n - 1  # edges a spanning forest still lacks, at most
     for idx in order:
+        if not left:
+            break
         u, v = edges[idx]
         while parent[u] != u:  # path halving, as in components
             parent[u] = parent[parent[u]]
@@ -149,9 +163,6 @@ def minimum_spanning_tree(g: MultiGraph, weights: Sequence) -> tuple[int, ...]:
             v = parent[v]
         if u != v:
             parent[v] = u
-            chosen.append(idx)
-            if len(chosen) == g.n - 1:
-                break
-    if len(chosen) != g.n - 1:
-        raise DisconnectedGraphError("graph is not connected")
-    return tuple(sorted(chosen))
+            taken[idx] = 1
+            left -= 1
+    return taken

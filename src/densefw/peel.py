@@ -29,7 +29,7 @@ from .graph import MultiGraph
 from .polytope import BaseVector
 from .setfn import SUPERMODULAR, SetFunctionOracle
 
-SUPERGREEDY_CAP = 200  # largest ground set Super-Greedy++ accepts: one round makes O(n^2) oracle calls
+SUPERGREEDY_CAP = 200  # largest ground set Super-Greedy++ accepts: one round asks O(n^2) marginals
 
 
 class PeelResult(FrozenRecord):
@@ -82,54 +82,64 @@ def weighted_greedy(g: MultiGraph, w: Sequence[int]) -> PeelResult:
 
 
 def weighted_supergreedy(f: SetFunctionOracle, w: Sequence) -> PeelResult:
-    """Peel argmin w(u) + f(u | rest) from a supermodular oracle; the final
-    element records f of its own singleton. Marginals are recomputed each
-    round, so this is O(n^2) oracle calls; ground sets above SUPERGREEDY_CAP
-    raise GroundSetTooLargeError before the first one."""
-    return _supergreedy(f, w, {})
+    """Peel argmin w(u) + f(u | rest) from a supermodular oracle, ties to
+    the smaller element; the final element records f of its own singleton.
+    A round asks O(n^2) marginals: each is one gain from f's `_gains` hook
+    (O(1) amortized for both graph oracles and their duals) or, without a
+    hook, one new evaluation. Ground sets above SUPERGREEDY_CAP raise
+    GroundSetTooLargeError before the oracle is asked anything."""
+    return _supergreedy(f, w, [])
 
 
-def _supergreedy(f: SetFunctionOracle, w: Sequence, cache: dict) -> PeelResult:
-    """weighted_supergreedy with f's values kept in `cache`, keyed by
-    bitmask over positions in f.ground."""
+def _supergreedy(f: SetFunctionOracle, w: Sequence, run: list) -> PeelResult:
+    """weighted_supergreedy with the gain function and f(ground) of
+    `_run_gains` kept in `run`, built on the first call of a run."""
     if f.kind != SUPERMODULAR:
         raise OracleFlagError("weighted_supergreedy needs a supermodular oracle")
-    ground = list(f.ground)
+    ground = f.ground
     n = len(ground)
     if n > SUPERGREEDY_CAP:
         raise GroundSetTooLargeError(f"supermodular peeling limited to {SUPERGREEDY_CAP} elements, got {n}")
     if len(w) != n:
         raise ValueError(f"expected {n} weights, got {len(w)}")
-    pos = {e: i for i, e in enumerate(ground)}
-    cur = frozenset(ground)
+    if not run:
+        run += _run_gains(f)
+    gain, left = run  # left: f of the set still in, by telescoping
     mask = (1 << n) - 1
-    if mask not in cache:
-        cache[mask] = f._eval(cur)
+    rest = sorted(range(n), key=ground.__getitem__)  # positions still in, in element order
     order: list[int] = []
     dhat: list = [0] * n
-    while cur:
-        fcur = cache[mask]  # the full set, or the set the last round kept
-        if len(cur) == 1:
-            u = next(iter(cur))
-            order.append(u)
-            dhat[pos[u]] = fcur  # f({u}): keeps the totals at f(V)
-            break
-        best_key = None
-        best_u = None
-        best_marg = None
-        for u in sorted(cur):
-            rest = mask ^ (1 << pos[u])
-            if rest not in cache:
-                cache[rest] = f._eval(cur - {u})
-            marg = fcur - cache[rest]
-            key = (w[pos[u]] + marg, u)
-            if best_key is None or key < best_key:
-                best_key, best_u, best_marg = key, u, marg
-        order.append(best_u)
-        dhat[pos[best_u]] = best_marg
-        cur -= {best_u}
-        mask ^= 1 << pos[best_u]
-    return PeelResult(tuple(order), BaseVector(tuple(ground), tuple(dhat)))
+    while len(rest) > 1:
+        margs = [gain(mask ^ 1 << p, p) for p in rest]
+        keys = [w[p] + d for p, d in zip(rest, margs)]
+        i = keys.index(min(keys))  # the first minimum: ties to the smaller element
+        p = rest.pop(i)
+        order.append(ground[p])
+        dhat[p] = margs[i]
+        left -= margs[i]
+        mask ^= 1 << p
+    if rest:
+        order.append(ground[rest[0]])
+        dhat[rest[0]] = left  # f({u}): keeps the totals at f(V)
+    return PeelResult(tuple(order), BaseVector(ground, tuple(dhat)))
+
+
+def _run_gains(f: SetFunctionOracle) -> list:
+    """[gain, f(ground)] for Super-Greedy++, gain(mask, j) = f(S + j) - f(S)
+    over positions of f.ground: f's own `_gains` hook, or for an oracle
+    without one the difference of two values cached by mask, so a run asks
+    each set once."""
+    ground = f.ground
+    if f._gains is not None:
+        return [f._gains(ground, frozenset()), f._eval(frozenset(ground))]
+    cache: dict = {}
+
+    def value(mask):
+        if mask not in cache:
+            cache[mask] = f._eval(frozenset(e for j, e in enumerate(ground) if mask >> j & 1))
+        return cache[mask]
+
+    return [lambda mask, j: value(mask | 1 << j) - value(mask), value((1 << len(ground)) - 1)]
 
 
 class GreedyPPResult(Record):
@@ -218,9 +228,9 @@ def supergreedy_pp(
     stop_dist: float | None = None,
 ) -> GreedyPPResult:
     """Iterated supermodular peeling with cumulative rational weights; one
-    value cache serves the whole run, as rounds repeat sets once the order settles."""
-    cache: dict = {}
-    return _peel_pp(f.ground, lambda w: _supergreedy(f, w, cache), iterations, ref, stop_dist)
+    gain function serves the whole run (`_run_gains`)."""
+    run: list = []
+    return _peel_pp(f.ground, lambda w: _supergreedy(f, w, run), iterations, ref, stop_dist)
 
 
 def _peel_pp(ground, peel_once, iterations, ref, stop_dist) -> GreedyPPResult:

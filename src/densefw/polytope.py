@@ -53,7 +53,8 @@ def _chain(f: SetFunctionOracle, order) -> tuple:
     """Greedy marginals for an order of positions of f.ground, lightest
     first: each element receives f(chain through it) minus f(chain before
     it), along prefixes of the order for submodular f and along suffixes
-    (the order reversed) for supermodular f."""
+    (the order reversed) for supermodular f. One evaluation per element;
+    an oracle's `_chain` hook gives the same marginals without any."""
     vals: list = [0] * len(f.ground)
     acc: frozenset[int] = frozenset()
     fprev = f._eval(acc)
@@ -71,14 +72,17 @@ def lmo(f: SetFunctionOracle, w: Sequence) -> BaseVector:
     Sort by (w_i, index) ascending and hand out marginals along prefixes
     (submodular f) or suffixes (supermodular f: each element's marginal
     against everything heavier), so light elements receive the large
-    marginals. Scale-invariant in w.
+    marginals. Scale-invariant in w. The marginals come from f's `_chain`
+    hook when it has one (O(m) for both graph oracles and their duals),
+    otherwise from n + 1 evaluations.
     """
     if not f.normalized:
         raise OracleFlagError("lmo requires a normalized oracle")
     n = len(f.ground)
     if len(w) != n:
         raise ValueError(f"expected {n} weights, got {len(w)}")
-    return BaseVector(f.ground, _chain(f, sorted(range(n), key=lambda i: (w[i], i))))
+    order = sorted(range(n), key=w.__getitem__)  # stable: ties stay in index order
+    return BaseVector(f.ground, _chain(f, order) if f._chain is None else f._chain(order))
 
 
 VERTEX_ENUM_CAP = 7  # largest ground set enumerate_base_vertices accepts

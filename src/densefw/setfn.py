@@ -17,7 +17,7 @@ from collections.abc import Callable, Iterable
 from fractions import Fraction
 
 from .errors import FrozenRecord, GroundSetTooLargeError, OracleFlagError
-from .graph import MultiGraph, components
+from .graph import MultiGraph, components, kruskal
 
 SUBMODULAR = "submodular"
 SUPERMODULAR = "supermodular"
@@ -25,17 +25,23 @@ SUPERMODULAR = "supermodular"
 
 class SetFunctionOracle(FrozenRecord):
     """Exact-valued set function f: 2^ground -> Q with declared structure.
-    Equality compares `_eval` but not `_gains`."""
+    Equality compares `_eval` but not the hooks."""
 
     ground: tuple[int, ...]
     kind: str
     monotone: bool
     normalized: bool
     _eval: Callable[[frozenset[int]], Fraction | int]
-    # Optional hook for `walk`: _gains(elems, base) returns gain(mask, j) =
-    # f(S | base | {elems[j]}) - f(S | base), where bit j is clear in mask and
-    # S is the subset of elems whose positions are set in mask.
+    # Two optional hooks that answer without evaluating a set:
+    # _gains(elems, base) returns gain(mask, j) = f(S | base | {elems[j]}) -
+    # f(S | base), where bit j is clear in mask and S is the subset of elems
+    # whose positions are set in mask; `walk` and Super-Greedy++ move by it,
+    # O(1) amortized per gain for both graph oracles. _chain(order) returns
+    # the greedy marginals `polytope.lmo` hands out along an order of
+    # positions of ground (prefixes for submodular f, suffixes for
+    # supermodular f), in O(m) for both graph oracles.
     _gains: Callable | None
+    _chain: Callable | None
     _fields = ("ground", "kind", "monotone", "normalized", "_eval")
 
     def __init__(
@@ -46,6 +52,7 @@ class SetFunctionOracle(FrozenRecord):
         normalized: bool,
         _eval: Callable[[frozenset[int]], Fraction | int],
         _gains: Callable | None = None,
+        _chain: Callable | None = None,
     ):
         if kind not in (SUBMODULAR, SUPERMODULAR):
             raise ValueError(f"unknown kind {kind!r}")
@@ -53,7 +60,8 @@ class SetFunctionOracle(FrozenRecord):
         if len(set(ground)) != len(ground):
             raise ValueError("ground set has repeated elements")
         self.__dict__.update(
-            ground=ground, kind=kind, monotone=monotone, normalized=normalized, _eval=_eval, _gains=_gains
+            ground=ground, kind=kind, monotone=monotone, normalized=normalized, _eval=_eval, _gains=_gains,
+            _chain=_chain,
         )
 
     @property
@@ -112,7 +120,21 @@ def edge_count_fn(g: MultiGraph) -> SetFunctionOracle:
 
         return gain
 
-    return SetFunctionOracle(tuple(range(g.n)), SUPERMODULAR, True, True, ev, gains)
+    def chain(order):
+        # Suffix marginals: each edge goes to its endpoint that comes
+        # earlier in the order.
+        rank = [0] * g.n
+        for r, v in enumerate(order):
+            rank[v] = r
+        vals = [0] * g.n
+        for u, v in edges:
+            if rank[u] < rank[v]:
+                vals[u] += 1
+            else:
+                vals[v] += 1
+        return vals
+
+    return SetFunctionOracle(tuple(range(g.n)), SUPERMODULAR, True, True, ev, gains, chain)
 
 
 def graphic_rank_fn(g: MultiGraph) -> SetFunctionOracle:
@@ -178,13 +200,17 @@ def graphic_rank_fn(g: MultiGraph) -> SetFunctionOracle:
 
         return gain
 
-    return SetFunctionOracle(tuple(range(g.m)), SUBMODULAR, True, True, ev, gains)
+    return SetFunctionOracle(tuple(range(g.m)), SUBMODULAR, True, True, ev, gains, lambda order: kruskal(g, order))
 
 
 def dualize(f: SetFunctionOracle) -> SetFunctionOracle:
     """g(X) = f(V) - f(V \\ X). Flips the kind; needs monotone + normalized.
 
-    Applying it twice gives back the original function pointwise.
+    Applying it twice gives back the original function pointwise. f's
+    `_chain` serves g unchanged: along one order, g's suffix marginals are
+    f's prefix marginals and the other way round. g's `_gains` comes from
+    f's: g(S + j) - g(S) = f(V - S) - f(V - S - j) is f's gain of j on
+    V - S - j.
     """
     if not (f.monotone and f.normalized):
         raise OracleFlagError("dualize requires a monotone, normalized oracle")
@@ -195,7 +221,14 @@ def dualize(f: SetFunctionOracle) -> SetFunctionOracle:
     def ev(s: frozenset[int]):
         return f_full - f._eval(full - s)
 
-    return SetFunctionOracle(f.ground, kind, True, True, ev)
+    def gains(elems, base):
+        # f's gain over the same elems, on the ground outside base and elems:
+        # the complement of S + j within elems is every ^ mask ^ bit j.
+        f_gain = f._gains(elems, full - base - frozenset(elems))
+        every = (1 << len(elems)) - 1
+        return lambda mask, j: f_gain(every ^ mask ^ 1 << j, j)
+
+    return SetFunctionOracle(f.ground, kind, True, True, ev, None if f._gains is None else gains, f._chain)
 
 
 def contract(f: SetFunctionOracle, onto: Iterable[int]) -> SetFunctionOracle:

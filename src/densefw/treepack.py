@@ -20,12 +20,13 @@ tnw_ideal_loads are the cross-check used in tests and by `verify`.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 
 from .decomp import density_vector
 from .errors import DisconnectedGraphError, GroundSetTooLargeError
 from .fw import AVERAGING, ConvergenceTrace, frank_wolfe
-from .graph import MultiGraph, is_connected, minimum_spanning_tree
-from .polytope import BaseVector
+from .graph import MultiGraph, is_connected
+from .polytope import BaseVector, lmo
 from .setfn import graphic_rank_fn
 
 PARTITION_CAP = 10  # largest vertex set the partition scans accept
@@ -129,18 +130,6 @@ def _tnw_recurse(g: MultiGraph, edge_ids: list[int], out: dict[int, Fraction]) -
         _tnw_recurse(g, sub, out)
 
 
-def _mst_lmo(g: MultiGraph):
-    edge_ground = tuple(range(g.m))
-
-    def lmo(weights) -> BaseVector:
-        load = [0] * g.m
-        for i in minimum_spanning_tree(g, weights):
-            load[i] = 1
-        return BaseVector(edge_ground, tuple(load))
-
-    return lmo
-
-
 def fw_tree_pack(
     g: MultiGraph,
     iterations: int,
@@ -148,13 +137,14 @@ def fw_tree_pack(
     ref=None,
     stop_dist: float | None = None,
 ) -> tuple[BaseVector, ConvergenceTrace]:
-    """Frank-Wolfe on the spanning tree base polytope with the MST oracle.
+    """Frank-Wolfe on the spanning tree base polytope with the MST oracle,
+    `lmo` of the graphic rank: Kruskal along a stable sort by load.
 
     With the default averaging schedule this is greedy tree packing, and
     k * load^(k) is exactly the vector of tree counts. The first query is
     at the MST under all-zero weights (smallest edge indices win).
     """
     _require_connected(g)
-    lmo = _mst_lmo(g)
-    return frank_wolfe(lmo, lmo([0] * g.m).values, schedule=schedule, iterations=iterations,
+    f = graphic_rank_fn(g)
+    return frank_wolfe(partial(lmo, f), lmo(f, [0] * g.m).values, schedule=schedule, iterations=iterations,
                        ref=ref, stop_dist=stop_dist)

@@ -25,6 +25,7 @@ from densefw import (
     SetFunctionOracle,
     contract,
     density_vector,
+    dualize,
     edge_count_fn,
     graphic_rank_fn,
     greedy_pp,
@@ -289,6 +290,33 @@ class TestSupergreedyPP:
         assert res.iterations == 6
         assert res.x == greedy_pp(three_tier(), 6).x
         assert len(asked) == len(set(asked))
+
+    def test_hooked_runs_match_hookless_oracles_round_by_round(self):
+        """Marginals read from _gains give the run the cached evaluations give:
+        each round's order and dhat at the run's own weights, and best_set,
+        best_density and x after every round."""
+        rng = random.Random(127)
+        for t in range(32):
+            g = random_multigraph(rng, n_max=8, m_max=10)
+            g = MultiGraph(g.n + 1, g.edges + g.edges[:1] * rng.randint(1, 2))
+            f = edge_count_fn(g) if t % 2 else dualize(graphic_rank_fn(g))
+            bare = SetFunctionOracle(f.ground, f.kind, True, True, f._eval)
+            assert f._gains is not None and bare._gains is None
+            for k in range(1, 7):
+                a, b = supergreedy_pp(f, k), supergreedy_pp(bare, k)
+                assert (a.best_set, a.best_density, a.x) == (b.best_set, b.best_density, b.x)
+                w = [k * v for v in a.x.values]  # the weights of round k + 1
+                pa, pb = weighted_supergreedy(f, w), weighted_supergreedy(bare, w)
+                assert (pa.order, pa.dhat) == (pb.order, pb.dhat)
+
+    def test_hooked_run_evaluates_one_set(self):
+        """With _gains, a whole run evaluates f(ground) and nothing else."""
+        for f in (edge_count_fn(three_tier()), dualize(graphic_rank_fn(tri_pendant()))):
+            asked = []
+            counted = SetFunctionOracle(
+                f.ground, f.kind, True, True, lambda s, ev=f._eval: asked.append(s) or ev(s), f._gains)
+            assert supergreedy_pp(counted, 9).x == supergreedy_pp(f, 9).x
+            assert asked == [frozenset(f.ground)]
 
     def test_converges_to_density_vector(self):
         f = edge_count_fn(tri_pendant())

@@ -18,7 +18,9 @@ from conftest import (
 )
 from densefw import (
     BaseVector,
+    MultiGraph,
     Orientation,
+    dualize,
     edge_count_fn,
     enumerate_base_vertices,
     graphic_rank_fn,
@@ -28,10 +30,11 @@ from densefw import (
     verify_bases,
 )
 from densefw.errors import GroundSetTooLargeError, OracleFlagError
-from densefw.polytope import VERTEX_ENUM_CAP
+from densefw.polytope import VERTEX_ENUM_CAP, _chain
 from densefw.graph import parse_edge_list
 from densefw.setfn import SUBMODULAR, SetFunctionOracle
 from test_decomp import ref_verify_base
+from test_setfn import tied_weights
 
 
 class TestBaseVector:
@@ -132,6 +135,33 @@ class TestLMOProperties:
             for _ in range(10):
                 w = [Fraction(rng.randint(-20, 20), rng.randint(1, 9)) for _ in range(g.n)]
                 assert lmo(fe, w).dot(w) == min(v.dot(w) for v in verts)
+
+
+class TestLMOThroughTheChainHook:
+    def test_stable_sort_gives_the_index_key_vertex(self):
+        """lmo's stable index sort by w picks the vertex of the (w_i, i) key,
+        with and without the hook, on tied int, Fraction and float weights."""
+        rng = random.Random(113)
+        for _ in range(40):
+            g = random_multigraph(rng, n_max=7, m_max=10)
+            g = MultiGraph(g.n + 1, g.edges + g.edges[:1])  # a parallel copy and an isolated vertex
+            for f in (edge_count_fn(g), graphic_rank_fn(g), dualize(graphic_rank_fn(g))):
+                n = len(f.ground)
+                w = tied_weights(rng, n)
+                want = _chain(f, sorted(range(n), key=lambda i: (w[i], i)))
+                bare = SetFunctionOracle(f.ground, f.kind, f.monotone, f.normalized, f._eval)
+                assert lmo(f, w).values == want
+                assert lmo(bare, w).values == want
+
+    def test_hooked_oracle_evaluates_no_sets(self):
+        g = three_tier()
+        for f in (edge_count_fn(g), graphic_rank_fn(g), dualize(graphic_rank_fn(g))):
+            asked = []
+            counted = SetFunctionOracle(
+                f.ground, f.kind, True, True, lambda s, ev=f._eval: asked.append(s) or ev(s), f._gains, f._chain)
+            w = [(7 * i) % 5 for i in range(len(f.ground))]
+            assert lmo(counted, w) == lmo(SetFunctionOracle(f.ground, f.kind, True, True, f._eval), w)
+            assert asked == []
 
 
 class TestEnumerateBaseVertices:

@@ -43,7 +43,7 @@ def test_frozen_record_refuses_assignment(record, field):
 
 def test_oracle_equality_ignores_gains_and_repr_hides_callables():
     f = edge_count_fn(triangle())
-    assert f._gains is not None
+    assert f._gains is not None and f._chain is not None
     plain = SetFunctionOracle(f.ground, f.kind, f.monotone, f.normalized, f._eval)
     assert plain == f
     assert hash(plain) == hash(f)

@@ -29,6 +29,7 @@ from densefw.setfn import (
     check_normalized,
     walk,
 )
+from densefw.polytope import _chain
 
 
 def modular(ground, per_element):
@@ -368,6 +369,44 @@ class TestSubsets:
                 s = subset_at(elems, mask) | base
                 assert gain(mask, j) == f._eval(s | {elems[j]}) - f._eval(s)
 
+    def test_dual_gains_match_eval(self):
+        """dualize derives its _gains from f's; walks through it, directly and
+        through contract and restrict, agree with the dual's evaluations."""
+        rng = random.Random(103)
+        for i in range(40):
+            g = multigraph_with_extras(rng) if i % 2 else rank_graph_with_extras(rng)
+            f = edge_count_fn(g) if i % 2 else graphic_rank_fn(g)
+            d = dualize(f)
+            assert d._gains is not None and dualize(d)._gains is not None
+            assert walk_matches_eval(d) == 1 << len(d.ground)
+            walk_matches_eval(dualize(d), f._eval)
+            for h in (restrict(d, rng.sample(d.ground, rng.randint(1, len(d.ground)))),
+                      contract(d, rng.sample(d.ground, rng.randint(0, len(d.ground) - 1)))):
+                walk_matches_eval(h)
+            cut = rng.sample(d.ground, rng.randint(1, len(d.ground) - 1))
+            base = frozenset(cut[: rng.randint(0, len(cut))])
+            elems = tuple(e for e in d.ground if e not in cut)
+            h, ref = part_of(d, elems, base)
+            assert h._gains is not None and h.ground == elems
+            walk_matches_eval(h, ref)
+            walk_matches_eval(reordered(h, elems[::-1]), ref)
+
+    def test_dual_gains_out_of_gray_order(self):
+        """A dual's gain(mask, j), asked in any order, is g(S + j) - g(S)."""
+        rng = random.Random(107)
+        for _ in range(40):
+            g = rank_graph_with_extras(rng)
+            d = dualize(graphic_rank_fn(g))
+            base = frozenset(rng.sample(d.ground, rng.randint(0, len(d.ground) - 1)))
+            elems = [e for e in d.ground if e not in base]
+            rng.shuffle(elems)
+            gain = d._gains(tuple(elems), base)
+            for _ in range(60):
+                j = rng.randrange(len(elems))
+                mask = rng.getrandbits(len(elems)) & ~(1 << j)
+                s = subset_at(elems, mask) | base
+                assert gain(mask, j) == d._eval(s | {elems[j]}) - d._eval(s)
+
     def test_oracles_without_hook_walk_one_set(self):
         rng = random.Random(79)
         for _ in range(30):
@@ -375,7 +414,8 @@ class TestSubsets:
             fr = graphic_rank_fn(g)
             fe = edge_count_fn(g)
             plain = SetFunctionOracle(fe.ground, SUPERMODULAR, True, True, lambda s: len(s) ** 2)
-            for h in (dualize(fr), nn_sum(Fraction(1, 3), fe, 2, plain), plain):
+            bare_rank = SetFunctionOracle(fr.ground, SUBMODULAR, True, True, fr._eval)
+            for h in (dualize(bare_rank), nn_sum(Fraction(1, 3), fe, 2, plain), plain):
                 assert h._gains is None
                 walk_matches_eval(h)
                 split = rng.randint(0, len(h.ground))
@@ -433,3 +473,40 @@ class TestExhaustiveChecks:
         if g.m <= 6:
             fr = graphic_rank_fn(g)
             assert check_kind(fr) and check_monotone(fr) and check_normalized(fr)
+
+
+def tied_weights(rng, n):
+    """Seeded weights with many ties, as ints, Fractions or floats."""
+    kind = rng.randrange(3)
+    vals = [rng.randint(-2, 3) for _ in range(n)]
+    if kind == 1:
+        return [Fraction(v, rng.choice((1, 2))) for v in vals]
+    if kind == 2:
+        return [v / 4 for v in vals]
+    return vals
+
+
+class TestChainHook:
+    """_chain(order): the greedy marginals along an order, without evaluating a set."""
+
+    def test_graph_oracles_and_duals_match_the_frozenset_chain(self):
+        rng = random.Random(109)
+        for i in range(60):
+            g = multigraph_with_extras(rng) if i % 2 else rank_graph_with_extras(rng)
+            for f in (edge_count_fn(g), graphic_rank_fn(g)):
+                d = dualize(f)
+                assert f._chain is not None and d._chain is f._chain
+                n = len(f.ground)
+                w = tied_weights(rng, n)
+                shuffled = list(range(n))
+                rng.shuffle(shuffled)
+                for order in (sorted(range(n), key=lambda i: (w[i], i)), shuffled):
+                    for h in (f, d, dualize(d)):
+                        assert tuple(h._chain(order)) == _chain(h, order)
+
+    def test_restrict_and_contract_pass_no_chain(self):
+        g = three_tier()
+        for f in (edge_count_fn(g), graphic_rank_fn(g)):
+            assert restrict(f, f.ground[1:])._chain is None
+            assert contract(f, f.ground[:1])._chain is None
+            assert nn_sum(1, f, 1, f)._chain is None

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -26,13 +27,14 @@ from densefw import (
     graphic_rank_fn,
     harmonic_bound,
     ideal_loads,
+    lmo,
     tnw_ideal_loads,
     tnw_strength,
     verify_base,
 )
 from densefw.errors import DisconnectedGraphError, GroundSetTooLargeError
 from densefw.graph import minimum_spanning_tree
-from densefw.treepack import PARTITION_CAP, _min_partition, _mst_lmo
+from densefw.treepack import PARTITION_CAP, _min_partition
 
 
 def cycle(n):
@@ -46,8 +48,8 @@ def two_islands():
 def exact_pack(g, iterations):
     """fw_tree_pack's run in exact arithmetic: averaging Frank-Wolfe with the
     MST oracle, first queried at the MST under all-zero weights."""
-    lmo = _mst_lmo(g)
-    return frank_wolfe(lmo, lmo([0] * g.m).values, iterations=iterations, exact=True)
+    f = graphic_rank_fn(g)
+    return frank_wolfe(partial(lmo, f), lmo(f, [0] * g.m).values, iterations=iterations, exact=True)
 
 
 class TestIdealLoads:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import time
-from functools import partial
 from pathlib import Path
 
 from densefw import (
@@ -26,12 +25,11 @@ from densefw import (
     STANDARD,
     decompose_supermodular,
     edge_count_fn,
-    frank_wolfe,
+    fw_qp,
     fw_tree_pack,
     greedy_pp,
     ideal_loads,
     is_connected,
-    lmo,
     parse_edge_list,
     tnw_strength,
 )
@@ -69,8 +67,7 @@ def run_one(name, g, out_dir: Path, iters: int) -> dict:
     if ref is not None:
         info["peel_final_dist"] = res.trace.records[-1].dist_ref
 
-    _, tr = frank_wolfe(partial(lmo, f), lmo(f, [0] * g.n).values, schedule=AVERAGING,
-                        iterations=iters, ref=ref)
+    _, tr = fw_qp(f, iters, ref=ref)
     tr.write_csv(out_dir / f"{name}.fwqp.csv")
     if ref is not None:
         info["fwqp_final_dist"] = tr.records[-1].dist_ref

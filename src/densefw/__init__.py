@@ -25,13 +25,13 @@ _EXPORTS = {
         "curvature_bounds",
         "delta_for_graph",
         "frank_wolfe",
+        "fw_qp",
         "harmonic_bound",
     ),
     "graph": (
         "MultiGraph",
         "components",
         "is_connected",
-        "minimum_spanning_tree",
         "parse_edge_list",
     ),
     "peel": (
@@ -47,7 +47,6 @@ _EXPORTS = {
         "Orientation",
         "enumerate_base_vertices",
         "lmo",
-        "optimal_orientation",
         "verify_base",
         "verify_bases",
     ),

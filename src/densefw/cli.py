@@ -14,7 +14,6 @@ only those: start-up is a large share of a short run.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -196,21 +195,13 @@ def _cmd_idealloads(ns: argparse.Namespace, g: MultiGraph) -> int:
 
 
 def _cmd_fw_qp(ns: argparse.Namespace, g: MultiGraph) -> int:
-    from . import fw, polytope
+    from . import fw
 
     f = setfn.edge_count_fn(g)
     ref = _ref(ns, f)
     if ns.exact and ns.iters > fw.EXACT_ITERATION_CAP:  # for either schedule, as documented under --exact
         raise ValueError(f"exact mode supports at most {fw.EXACT_ITERATION_CAP} iterations")
-    x, trace = fw.frank_wolfe(
-        functools.partial(polytope.lmo, f),
-        polytope.lmo(f, [0] * g.n).values,
-        schedule=ns.schedule,
-        iterations=ns.iters,
-        ref=ref,
-        exact=ns.exact,
-        stop_dist=ns.epsilon,
-    )
+    x, trace = fw.fw_qp(f, ns.iters, schedule=ns.schedule, ref=ref, exact=ns.exact, stop_dist=ns.epsilon)
     _run_trace(ns, trace)
     _emit(
         {

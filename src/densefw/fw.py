@@ -13,6 +13,8 @@ the LMO at that sum and divides only for output, so integer answers stay
 exactly countable and (k+1) b^(k+1) = k b^(k) + d^(k+1) is literal. For a
 peeling LMO, querying at the cumulative loads is the Greedy++ rule, so
 greedy tree packing, Greedy++ and Super-Greedy++ all run on `frank_wolfe`.
+`fw_qp` is the run with the exact greedy LMO: `fw-qp` on edge count, tree
+packing on graphic rank.
 
 `harmonic_bound` is the objective-gap guarantee for averaging steps with a
 delta-approximate LMO: 2 * C * (1 + delta) * H_{k+1} / (k+1). Curvature C
@@ -25,10 +27,12 @@ import math
 import operator
 from collections.abc import Callable, Sequence
 from fractions import Fraction
+from functools import partial
 
 from .errors import NumericalError, Record
 from .graph import MultiGraph
-from .polytope import BaseVector
+from .polytope import BaseVector, lmo
+from .setfn import SetFunctionOracle
 
 EXACT_ITERATION_CAP = 20  # exact iterations under the standard schedule, whose denominators grow
 AVERAGING = "avg"  # step schedule gamma_k = 1/(k+1), the CLI's --schedule avg
@@ -132,6 +136,15 @@ def frank_wolfe(
         if stop_dist is not None and dist is not None and dist <= stop_dist:
             break
     return BaseVector(answer.ground, tuple(Fraction(t, scale) for t in q) if exact else x), trace
+
+
+def fw_qp(f: SetFunctionOracle, iterations: int, *, schedule: str = AVERAGING, ref: Sequence | None = None,
+          exact: bool = False, stop_dist: float | None = None) -> tuple[BaseVector, ConvergenceTrace]:
+    """`frank_wolfe` on min sum(x^2) over the base polytope of f, with
+    Edmonds' greedy vertex `lmo(f, .)` as the exact LMO, first queried at
+    the greedy vertex for all-zero weights (smallest indices first)."""
+    return frank_wolfe(partial(lmo, f), lmo(f, [0] * len(f.ground)).values, schedule=schedule,
+                       iterations=iterations, ref=ref, exact=exact, stop_dist=stop_dist)
 
 
 _HARMONIC = [Fraction(0)]  # exact H_0, H_1, ..., grown on demand

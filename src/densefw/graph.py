@@ -9,11 +9,10 @@ breaks toward the smaller vertex or edge index so that runs are repeatable.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from functools import cached_property
-from itertools import compress
 
-from .errors import DisconnectedGraphError, FrozenRecord, GraphParseError
+from .errors import FrozenRecord, GraphParseError
 
 VERTEX_CAP = 10**6  # largest vertex id parse_edge_list accepts
 
@@ -102,51 +101,27 @@ def components(g: MultiGraph, edge_subset: Iterable[int]) -> int:
     """Number of connected components of the spanning subgraph (V, edge_subset).
 
     Isolated vertices count as components, so the empty subset gives n.
+    Every index is checked before Kruskal runs, as Kruskal stops once it
+    has a spanning forest.
     """
-    edges = g.edges
-    m = len(edges)
-    parent = list(range(g.n))
-    count = g.n
-    for idx in edge_subset:
+    subset = tuple(edge_subset)
+    m = len(g.edges)
+    for idx in subset:
         if not (0 <= idx < m):
             raise ValueError(f"edge index {idx} out of range")
-        u, v = edges[idx]
-        while parent[u] != u:  # path halving
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        if u != v:
-            parent[v] = u
-            count -= 1
-    return count
+    return g.n - sum(_kruskal(g, subset))
 
 
 def is_connected(g: MultiGraph) -> bool:
     return components(g, range(g.m)) == 1
 
 
-def minimum_spanning_tree(g: MultiGraph, weights: Sequence) -> tuple[int, ...]:
-    """Edge indices of the minimum-weight spanning tree (Kruskal).
-
-    Edges are taken in a stable sort by weight, so ties break toward the
-    smaller edge index, which makes the result a deterministic function of
-    the weight vector. Raises on disconnected input.
-    """
-    if len(weights) != g.m:
-        raise ValueError(f"expected {g.m} weights, got {len(weights)}")
-    taken = kruskal(g, sorted(range(g.m), key=weights.__getitem__))
-    chosen = tuple(compress(range(g.m), taken))
-    if len(chosen) != g.n - 1:
-        raise DisconnectedGraphError("graph is not connected")
-    return chosen
-
-
-def kruskal(g: MultiGraph, order: Iterable[int]) -> list[int]:
+def _kruskal(g: MultiGraph, order: Iterable[int]) -> list[int]:
     """Kruskal along `order`, a sequence of edge indices: 1 at each edge
     that joins two components of the edges before it, 0 at every other
-    edge. These are the graphic rank's marginals along the order."""
+    edge. These are the graphic rank's marginals along the order. Private,
+    so a tracer that wraps the public functions still sees `components`
+    as a leaf."""
     edges = g.edges
     parent = list(range(g.n))
     taken = [0] * len(edges)
@@ -155,7 +130,7 @@ def kruskal(g: MultiGraph, order: Iterable[int]) -> list[int]:
         if not left:
             break
         u, v = edges[idx]
-        while parent[u] != u:  # path halving, as in components
+        while parent[u] != u:  # path halving
             parent[u] = parent[parent[u]]
             u = parent[u]
         while parent[v] != v:

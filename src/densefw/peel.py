@@ -22,6 +22,7 @@ from __future__ import annotations
 import heapq
 from collections.abc import Sequence
 from fractions import Fraction
+from functools import cache
 
 from .errors import FrozenRecord, GroundSetTooLargeError, OracleFlagError, Record
 from .fw import ConvergenceTrace, frank_wolfe
@@ -88,58 +89,50 @@ def weighted_supergreedy(f: SetFunctionOracle, w: Sequence) -> PeelResult:
     (O(1) amortized for both graph oracles and their duals) or, without a
     hook, one new evaluation. Ground sets above SUPERGREEDY_CAP raise
     GroundSetTooLargeError before the oracle is asked anything."""
-    return _supergreedy(f, w, [])
+    return _supergreedy(f)(w)
 
 
-def _supergreedy(f: SetFunctionOracle, w: Sequence, run: list) -> PeelResult:
-    """weighted_supergreedy with the gain function and f(ground) of
-    `_run_gains` kept in `run`, built on the first call of a run."""
+def _supergreedy(f: SetFunctionOracle):
+    """weighted_supergreedy as a peel of w alone, for a whole run: the gain
+    function, gain(mask, j) = f(S + j) - f(S) over positions of f.ground,
+    and f(ground) are built once. The gain is f's own `_gains` hook, or
+    for an oracle without one the difference of two values."""
     if f.kind != SUPERMODULAR:
         raise OracleFlagError("weighted_supergreedy needs a supermodular oracle")
     ground = f.ground
     n = len(ground)
     if n > SUPERGREEDY_CAP:
         raise GroundSetTooLargeError(f"supermodular peeling limited to {SUPERGREEDY_CAP} elements, got {n}")
-    if len(w) != n:
-        raise ValueError(f"expected {n} weights, got {len(w)}")
-    if not run:
-        run += _run_gains(f)
-    gain, left = run  # left: f of the set still in, by telescoping
-    mask = (1 << n) - 1
-    rest = sorted(range(n), key=ground.__getitem__)  # positions still in, in element order
-    order: list[int] = []
-    dhat: list = [0] * n
-    while len(rest) > 1:
-        margs = [gain(mask ^ 1 << p, p) for p in rest]
-        keys = [w[p] + d for p, d in zip(rest, margs)]
-        i = keys.index(min(keys))  # the first minimum: ties to the smaller element
-        p = rest.pop(i)
-        order.append(ground[p])
-        dhat[p] = margs[i]
-        left -= margs[i]
-        mask ^= 1 << p
-    if rest:
-        order.append(ground[rest[0]])
-        dhat[rest[0]] = left  # f({u}): keeps the totals at f(V)
-    return PeelResult(tuple(order), BaseVector(ground, tuple(dhat)))
+    if f._gains is None:  # values cached by mask, so a run asks each set once
+        value = cache(lambda mask: f._eval(frozenset(e for j, e in enumerate(ground) if mask >> j & 1)))
+        gain, full = (lambda mask, j: value(mask | 1 << j) - value(mask)), value((1 << n) - 1)
+    else:
+        gain, full = f._gains(ground, frozenset()), f._eval(frozenset(ground))
+    by_element = sorted(range(n), key=ground.__getitem__)
 
+    def peel(w: Sequence) -> PeelResult:
+        if len(w) != n:
+            raise ValueError(f"expected {n} weights, got {len(w)}")
+        left = full  # f of the set still in, by telescoping
+        mask = (1 << n) - 1
+        rest = by_element[:]  # positions still in, in element order
+        order: list[int] = []
+        dhat: list = [0] * n
+        while len(rest) > 1:
+            margs = [gain(mask ^ 1 << p, p) for p in rest]
+            keys = [w[p] + d for p, d in zip(rest, margs)]
+            i = keys.index(min(keys))  # the first minimum: ties to the smaller element
+            p = rest.pop(i)
+            order.append(ground[p])
+            dhat[p] = margs[i]
+            left -= margs[i]
+            mask ^= 1 << p
+        if rest:
+            order.append(ground[rest[0]])
+            dhat[rest[0]] = left  # f({u}): keeps the totals at f(V)
+        return PeelResult(tuple(order), BaseVector(ground, tuple(dhat)))
 
-def _run_gains(f: SetFunctionOracle) -> list:
-    """[gain, f(ground)] for Super-Greedy++, gain(mask, j) = f(S + j) - f(S)
-    over positions of f.ground: f's own `_gains` hook, or for an oracle
-    without one the difference of two values cached by mask, so a run asks
-    each set once."""
-    ground = f.ground
-    if f._gains is not None:
-        return [f._gains(ground, frozenset()), f._eval(frozenset(ground))]
-    cache: dict = {}
-
-    def value(mask):
-        if mask not in cache:
-            cache[mask] = f._eval(frozenset(e for j, e in enumerate(ground) if mask >> j & 1))
-        return cache[mask]
-
-    return [lambda mask, j: value(mask | 1 << j) - value(mask), value((1 << len(ground)) - 1)]
+    return peel
 
 
 class GreedyPPResult(Record):
@@ -228,9 +221,8 @@ def supergreedy_pp(
     stop_dist: float | None = None,
 ) -> GreedyPPResult:
     """Iterated supermodular peeling with cumulative rational weights; one
-    gain function serves the whole run (`_run_gains`)."""
-    run: list = []
-    return _peel_pp(f.ground, lambda w: _supergreedy(f, w, run), iterations, ref, stop_dist)
+    peel, built once by `_supergreedy`, serves the whole run."""
+    return _peel_pp(f.ground, _supergreedy(f), iterations, ref, stop_dist)
 
 
 def _peel_pp(ground, peel_once, iterations, ref, stop_dist) -> GreedyPPResult:

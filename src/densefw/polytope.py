@@ -105,42 +105,39 @@ def _exact(x) -> list:
     return [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in vals]
 
 
-def verify_base(f: SetFunctionOracle, x, tol=0) -> bool:
+def verify_base(f: SetFunctionOracle, x) -> bool:
     """Exhaustively check that x lies in the base polytope of f.
 
     Exact arithmetic: float inputs are converted to exact binary rationals.
-    `tol` relaxes every constraint symmetrically for floating iterates.
     This is `verify_bases` for one vector.
     """
-    return verify_bases(f, [x], tol)[0]
+    return verify_bases(f, [x])[0]
 
 
-def verify_bases(f: SetFunctionOracle, xs, tol=0) -> list[bool]:
+def verify_bases(f: SetFunctionOracle, xs) -> list[bool]:
     """verify_base for each vector of xs, by one subset walk for all of them.
 
-    Vector k's slack at S, s_k(S) = t + floor(sign d f(S)) - sign d x_k(S),
-    is an int: d clears every denominator of x and tol, t = d tol, and sign
-    is 1 for submodular f (x(S) <= f(S)), -1 for supermodular f. It is < 0
-    exactly where x_k violates its constraint at S. Each s_k(S) + 2^(w-1)
-    is one w-bit field of a single int, so a walk step moves every slack by
-    two big-int additions, and a field whose top bit clears names a
-    violated set. The field width rests on a bound on every |s_k(S)|, and
-    an assert checks the one part of it the declared kind has to supply.
+    Vector k's slack at S, s_k(S) = floor(sign d f(S)) - sign d x_k(S), is
+    an int: d clears every denominator of x, and sign is 1 for submodular
+    f (x(S) <= f(S)), -1 for supermodular f. It is < 0 exactly where x_k
+    violates its constraint at S. Each s_k(S) + 2^(w-1) is one w-bit field
+    of a single int, so a walk step moves every slack by two big-int
+    additions, and a field whose top bit clears names a violated set. The
+    field width rests on a bound on every |s_k(S)|, and an assert checks
+    the one part of it the declared kind has to supply.
     """
     scan = walk(f)  # raises above ENUM_CAP before any arithmetic
     qs = [_exact(x) for x in xs]
     if any(len(q) != len(f.ground) for q in qs):
         raise ValueError("vector length mismatch")
-    tol = tol if isinstance(tol, (int, Fraction)) else Fraction(tol)
     ground = f.ground_set
     full = f._eval(ground)
-    ok = [all(v >= -tol for v in q) and abs(sum(q) - full) <= tol for q in qs]
+    ok = [all(v >= 0 for v in q) and sum(q) == full for q in qs]
     live = [k for k in range(len(qs)) if ok[k]]
     if not live:
         return ok
     sign = 1 if f.kind == SUBMODULAR else -1
-    den = math.lcm(tol.denominator, *(v.denominator for k in live for v in qs[k]))
-    t = int(tol * den)
+    den = math.lcm(*(v.denominator for k in live for v in qs[k]))
     # Each element's marginal lies between its marginals at the empty set
     # and at ground - {e} (decreasing in the set for submodular f,
     # increasing for supermodular f), so |f(S)| <= bound for every S; with
@@ -150,12 +147,12 @@ def verify_bases(f: SetFunctionOracle, xs, tol=0) -> list[bool]:
         max(abs(f._eval(frozenset([e])) - f0), abs(full - f._eval(ground - {e}))) for e in ground)
     cap = math.floor(den * bound) + 1  # |floor(sign d f(S))| <= cap
     rows = [[int(sign * den * v) for v in qs[k]] for k in live]
-    span = abs(t) + cap + max(sum(map(abs, row)) for row in rows)
+    span = cap + max(sum(map(abs, row)) for row in rows)
     w = span.bit_length() + 1  # 2^(w-1) > span: fields stay in [1, 2^w)
     ones = sum(1 << w * i for i in range(len(live)))
     step = {1 << j: sum(row[j] << w * i for i, row in enumerate(rows)) for j in range(len(f.ground))}
     c = prev_c = math.floor(sign * den * f0)
-    packed = (t + c + (1 << w - 1)) * ones
+    packed = (c + (1 << w - 1)) * ones
     unviolated = ones << w - 1  # the top bits of the fields still in the race
     next(scan)  # the empty set comes first and carries no constraint
     prev = 0
@@ -210,18 +207,3 @@ class Orientation(FrozenRecord):
     def from_mask(g: MultiGraph, mask: int) -> "Orientation":
         """Integral orientation: bit i set means edge i goes to its first endpoint."""
         return Orientation(tuple(1 if mask >> i & 1 else 0 for i in range(g.m)))
-
-
-def optimal_orientation(g: MultiGraph, w: Sequence) -> tuple[Orientation, BaseVector]:
-    """Orientation minimizing <w, load>: each edge goes entirely to its
-    lighter endpoint, ties to the smaller vertex index. The induced load is
-    the same vertex the greedy LMO of the edge-count oracle picks."""
-    if len(w) != g.n:
-        raise ValueError(f"expected {g.n} weights, got {len(w)}")
-    shares = []
-    load: list = [0] * g.n
-    for u, v in g.edges:
-        to_first = (w[u], u) < (w[v], v)
-        shares.append(1 if to_first else 0)
-        load[u if to_first else v] += 1
-    return Orientation(tuple(shares)), BaseVector(tuple(range(g.n)), tuple(load))

@@ -17,7 +17,7 @@ from collections.abc import Callable, Iterable
 from fractions import Fraction
 
 from .errors import FrozenRecord, GroundSetTooLargeError, OracleFlagError
-from .graph import MultiGraph, components, kruskal
+from .graph import MultiGraph, _kruskal, components
 
 SUBMODULAR = "submodular"
 SUPERMODULAR = "supermodular"
@@ -200,7 +200,7 @@ def graphic_rank_fn(g: MultiGraph) -> SetFunctionOracle:
 
         return gain
 
-    return SetFunctionOracle(tuple(range(g.m)), SUBMODULAR, True, True, ev, gains, lambda order: kruskal(g, order))
+    return SetFunctionOracle(tuple(range(g.m)), SUBMODULAR, True, True, ev, gains, lambda order: _kruskal(g, order))
 
 
 def dualize(f: SetFunctionOracle) -> SetFunctionOracle:

@@ -20,13 +20,12 @@ tnw_ideal_loads are the cross-check used in tests and by `verify`.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 
 from .decomp import density_vector
 from .errors import DisconnectedGraphError, GroundSetTooLargeError
-from .fw import AVERAGING, ConvergenceTrace, frank_wolfe
+from .fw import AVERAGING, ConvergenceTrace, fw_qp
 from .graph import MultiGraph, is_connected
-from .polytope import BaseVector, lmo
+from .polytope import BaseVector
 from .setfn import graphic_rank_fn
 
 PARTITION_CAP = 10  # largest vertex set the partition scans accept
@@ -137,14 +136,13 @@ def fw_tree_pack(
     ref=None,
     stop_dist: float | None = None,
 ) -> tuple[BaseVector, ConvergenceTrace]:
-    """Frank-Wolfe on the spanning tree base polytope with the MST oracle,
-    `lmo` of the graphic rank: Kruskal along a stable sort by load.
+    """`fw_qp` on the graphic rank: Frank-Wolfe on the spanning tree base
+    polytope, whose greedy vertex is the MST (Kruskal along a stable sort
+    by load).
 
     With the default averaging schedule this is greedy tree packing, and
     k * load^(k) is exactly the vector of tree counts. The first query is
     at the MST under all-zero weights (smallest edge indices win).
     """
     _require_connected(g)
-    f = graphic_rank_fn(g)
-    return frank_wolfe(partial(lmo, f), lmo(f, [0] * g.m).values, schedule=schedule, iterations=iterations,
-                       ref=ref, stop_dist=stop_dist)
+    return fw_qp(graphic_rank_fn(g), iterations, schedule=schedule, ref=ref, stop_dist=stop_dist)

@@ -121,6 +121,27 @@ def random_connected_graph(rng: random.Random, n_max: int = 7, extra_max: int = 
     return MultiGraph(n, tuple(edges))
 
 
+def kruskal_by_key(g: MultiGraph, w) -> tuple[int, ...]:
+    """Kruskal over the edges sorted by the key (weight, index), with its
+    own union-find: the tie rule the library keeps with a stable sort.
+    Returns the chosen edge indices, sorted; on a disconnected graph they
+    form a spanning forest."""
+    parent = list(range(g.n))
+
+    def find(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    chosen = []
+    for i in sorted(range(g.m), key=lambda i: (w[i], i)):
+        u, v = map(find, g.edges[i])
+        if u != v:
+            parent[v] = u
+            chosen.append(i)
+    return tuple(sorted(chosen))
+
+
 @st.composite
 def multigraphs(draw, n_max: int = 6, m_max: int = 9):
     n = draw(st.integers(2, n_max))

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -16,10 +17,10 @@ from densefw import (
     density_vector,
     edge_count_fn,
     frank_wolfe,
+    fw_qp,
     graphic_rank_fn,
     harmonic_bound,
     lmo,
-    optimal_orientation,
     verify_base,
 )
 from densefw.errors import NumericalError
@@ -27,14 +28,13 @@ from densefw.fw import EXACT_ITERATION_CAP, harmonic_number, harmonic_numbers_fl
 
 
 def orientation_lmo(g):
-    return lambda w: optimal_orientation(g, w)[1]
+    """The min-cost orientation's load: the greedy vertex of g's edge-count polytope."""
+    return partial(lmo, edge_count_fn(g))
 
 
-def fw_qp(g, **kw):
-    """frank_wolfe on the orientation polytope, first queried where the
-    fw-qp command queries it: at the LMO's answer to all-zero weights."""
-    lmo = orientation_lmo(g)
-    return frank_wolfe(lmo, lmo((0,) * g.n).values, **kw)
+def orientation_qp(g, **kw):
+    """fw_qp on the orientation polytope, as the fw-qp command runs it."""
+    return fw_qp(edge_count_fn(g), **kw)
 
 
 def gammas(schedule, iterations=4):
@@ -84,10 +84,10 @@ class TestFrankWolfe:
 
     def test_default_start_is_lmo_at_zero(self):
         g = triangle()
-        x, trace = fw_qp(g, iterations=1, exact=True)
+        x, trace = orientation_qp(g, iterations=1, exact=True)
         # the all-zero query returns (2,1,0); the full first step moves to
         # the LMO answer at those weights
-        assert x.values == optimal_orientation(g, (2, 1, 0))[1].values
+        assert x.values == lmo(edge_count_fn(g), (2, 1, 0)).values
 
     def test_averaging_mean_identity(self):
         g = tri_pendant()
@@ -147,7 +147,7 @@ class TestFrankWolfe:
         g = tri_pendant()
         lmo = orientation_lmo(g)
         iters = 3 * EXACT_ITERATION_CAP
-        x, trace = fw_qp(g, iterations=iters, exact=True)
+        x, trace = orientation_qp(g, iterations=iters, exact=True)
         assert len(trace.records) == iters
         total = [0] * 4
         cur = lmo((0,) * 4).values
@@ -162,7 +162,7 @@ class TestFrankWolfe:
         for g in (triangle(), tri_pendant(), k4()):
             f = edge_count_fn(g)
             for k in range(1, 21):
-                x, _ = fw_qp(g, iterations=k, exact=True)
+                x, _ = orientation_qp(g, iterations=k, exact=True)
                 assert verify_base(f, x)
 
     def test_standard_schedule_objective_bound(self):
@@ -170,20 +170,20 @@ class TestFrankWolfe:
             f = edge_count_fn(g)
             opt = float(sum(v * v for v in density_vector(f).values))
             _, hi = curvature_bounds(g)
-            _, trace = fw_qp(g, schedule=STANDARD, iterations=300)
+            _, trace = orientation_qp(g, schedule=STANDARD, iterations=300)
             for rec in trace.records:
                 assert rec.objective - opt <= 2 * hi / (rec.k + 2) + 1e-9
 
     def test_triangle_long_run_reaches_uniform_vector(self):
         g = triangle()
         ref = density_vector(edge_count_fn(g))
-        x, trace = fw_qp(g, iterations=10_000, ref=ref)
+        x, trace = orientation_qp(g, iterations=10_000, ref=ref)
         assert trace.records[-1].dist_ref <= 0.05
 
     def test_early_stop_on_distance(self):
         g = triangle()
         ref = density_vector(edge_count_fn(g))
-        _, trace = fw_qp(g, iterations=10_000, ref=ref, stop_dist=0.05)
+        _, trace = orientation_qp(g, iterations=10_000, ref=ref, stop_dist=0.05)
         assert len(trace.records) < 10_000
         assert trace.records[-1].dist_ref <= 0.05
 
@@ -204,7 +204,7 @@ class TestTrace:
     def test_csv_shape(self, tmp_path):
         g = triangle()
         ref = density_vector(edge_count_fn(g))
-        _, trace = fw_qp(g, iterations=4, ref=ref)
+        _, trace = orientation_qp(g, iterations=4, ref=ref)
         text = trace.to_csv()
         lines = text.strip().split("\n")
         assert lines[0] == "k,objective,gamma,dist_ref"
@@ -219,7 +219,7 @@ class TestTrace:
 
     def test_distance_column_blank_without_reference(self):
         g = triangle()
-        _, trace = fw_qp(g, iterations=2)
+        _, trace = orientation_qp(g, iterations=2)
         for line in trace.to_csv().strip().split("\n")[1:]:
             assert line.endswith(",")
 

@@ -1,14 +1,25 @@
-"""Multigraph construction, parsing, components, and the deterministic MST."""
+"""Multigraph construction, parsing, components, and the deterministic MST
+that the graphic rank's greedy LMO marks."""
 
 import random
+from collections import deque
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
-from conftest import multigraphs, p3, random_connected_graph, star, tri_pendant, triangle
-from densefw import MultiGraph, components, minimum_spanning_tree, parse_edge_list
-from densefw.errors import DisconnectedGraphError, GraphParseError
+from conftest import (
+    kruskal_by_key,
+    multigraphs,
+    p3,
+    random_connected_graph,
+    random_multigraph,
+    star,
+    tri_pendant,
+    triangle,
+)
+from densefw import MultiGraph, components, graphic_rank_fn, lmo, parse_edge_list
+from densefw.errors import GraphParseError
 from densefw.graph import is_connected
 
 
@@ -122,6 +133,38 @@ class TestComponents:
         with pytest.raises(ValueError):
             components(triangle(), (5,))
 
+    def test_invalid_index_after_a_spanning_forest(self):
+        """Edges 0 and 1 already span the triangle, so Kruskal alone would
+        stop before it reads index 7."""
+        with pytest.raises(ValueError, match="^edge index 7 out of range$"):
+            components(triangle(), (0, 1, 7))
+        with pytest.raises(ValueError, match="^edge index -1 out of range$"):
+            components(triangle(), iter((0, 1, -1, 9)))
+
+    def test_matches_a_breadth_first_count(self):
+        rng = random.Random(71)
+        for _ in range(60):
+            g = random_multigraph(rng, n_max=9, m_max=12)
+            g = MultiGraph(g.n + rng.randint(0, 2), g.edges + g.edges[:rng.randint(0, 2)])  # isolated, parallel
+            subset = [i for i in range(g.m) if rng.random() < 0.6]
+            adj = [[] for _ in range(g.n)]
+            for i in subset:
+                u, v = g.edges[i]
+                adj[u].append(v)
+                adj[v].append(u)
+            seen, count = set(), 0
+            for s in range(g.n):
+                if s not in seen:
+                    count += 1
+                    seen.add(s)
+                    queue = deque([s])
+                    while queue:
+                        for v in adj[queue.popleft()]:
+                            if v not in seen:
+                                seen.add(v)
+                                queue.append(v)
+            assert components(g, subset) == components(g, (i for i in subset)) == count
+
     @settings(deadline=None, max_examples=40)
     @given(multigraphs())
     def test_each_edge_drops_count_by_at_most_one(self, g):
@@ -132,48 +175,29 @@ class TestComponents:
             prev = cur
 
 
-def kruskal_by_key(g, w):
-    """Kruskal over the edges sorted by the key (weight, index): the tie
-    rule minimum_spanning_tree keeps with a stable sort."""
-    parent = list(range(g.n))
-
-    def find(v):
-        while parent[v] != v:
-            v = parent[v]
-        return v
-
-    chosen = []
-    for i in sorted(range(g.m), key=lambda i: (w[i], i)):
-        u, v = map(find, g.edges[i])
-        if u != v:
-            parent[v] = u
-            chosen.append(i)
-    return tuple(sorted(chosen))
+def lmo_tree(g, w):
+    """The edges marked 1 in lmo(graphic_rank_fn(g), w): Kruskal's tree
+    (a spanning forest when g is disconnected)."""
+    return tuple(i for i, x in enumerate(lmo(graphic_rank_fn(g), w).values) if x)
 
 
 class TestMinimumSpanningTree:
     def test_unique_mst(self):
-        assert minimum_spanning_tree(triangle(), (1, 2, 3)) == (0, 1)
+        assert lmo_tree(triangle(), (1, 2, 3)) == (0, 1)
 
     def test_tie_break_smaller_edge_index(self):
-        assert minimum_spanning_tree(triangle(), (1, 1, 1)) == (0, 1)
+        assert lmo_tree(triangle(), (1, 1, 1)) == (0, 1)
 
     def test_path_is_forced(self):
-        assert minimum_spanning_tree(p3(), (9, 4)) == (0, 1)
-
-    def test_disconnected_raises(self):
-        g = MultiGraph(4, ((0, 1), (2, 3)))
-        with pytest.raises(DisconnectedGraphError):
-            minimum_spanning_tree(g, (1, 1))
+        assert lmo_tree(p3(), (9, 4)) == (0, 1)
 
     def test_one_vertex_and_an_isolated_vertex(self):
-        assert minimum_spanning_tree(MultiGraph(1, ()), ()) == ()
-        with pytest.raises(DisconnectedGraphError):
-            minimum_spanning_tree(MultiGraph(3, ((0, 1), (1, 0))), (1, 2))
+        assert lmo_tree(MultiGraph(1, ()), ()) == ()
+        assert lmo_tree(MultiGraph(3, ((0, 1), (1, 0))), (1, 2)) == (0,)
 
     def test_weight_length_checked(self):
         with pytest.raises(ValueError):
-            minimum_spanning_tree(triangle(), (1, 2))
+            lmo_tree(triangle(), (1, 2))
 
     def test_tree_size_and_connectivity(self):
         rng = random.Random(11)
@@ -185,7 +209,7 @@ class TestMinimumSpanningTree:
             floats = [x / 3 for x in ties]
             mixed = [(thirds if i % 2 else floats)[i] for i in range(g.m)]
             for weights in (w, ties, thirds, floats, mixed):
-                tree = minimum_spanning_tree(g, weights)
+                tree = lmo_tree(g, weights)
                 assert len(tree) == g.n - 1
                 assert components(g, tree) == 1
                 assert tree == kruskal_by_key(g, weights)
@@ -195,9 +219,9 @@ class TestMinimumSpanningTree:
         for _ in range(25):
             g = random_connected_graph(rng)
             w = [rng.randint(0, 9) for _ in range(g.m)]
-            base = minimum_spanning_tree(g, w)
-            shifted = minimum_spanning_tree(g, [x + 5 for x in w])
-            scaled = minimum_spanning_tree(g, [3 * x for x in w])
+            base = lmo_tree(g, w)
+            shifted = lmo_tree(g, [x + 5 for x in w])
+            scaled = lmo_tree(g, [3 * x for x in w])
             assert base == shifted == scaled
 
     def test_total_weight_is_minimal(self):
@@ -207,7 +231,7 @@ class TestMinimumSpanningTree:
         for _ in range(15):
             g = random_connected_graph(rng, n_max=5, extra_max=3)
             w = [rng.randint(0, 6) for _ in range(g.m)]
-            tree = minimum_spanning_tree(g, w)
+            tree = lmo_tree(g, w)
             best = min(
                 sum(w[i] for i in sub)
                 for sub in combinations(range(g.m), g.n - 1)

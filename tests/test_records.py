@@ -5,10 +5,11 @@ import pytest
 
 from conftest import triangle
 from densefw import (
+    Orientation,
     SetFunctionOracle,
     decompose_supermodular,
     edge_count_fn,
-    optimal_orientation,
+    lmo,
     weighted_greedy,
 )
 
@@ -16,7 +17,7 @@ from densefw import (
 def _frozen_fields():
     g = triangle()
     f = edge_count_fn(g)
-    orientation, load = optimal_orientation(g, [0, 0, 0])
+    orientation, load = Orientation.from_mask(g, 0b11), lmo(f, [0, 0, 0])
     return [
         (g, "n"),
         (g, "edges"),

@@ -10,6 +10,7 @@ import pytest
 from conftest import (
     canonical_graphs,
     k4,
+    kruskal_by_key,
     p3,
     random_connected_graph,
     single_edge,
@@ -33,7 +34,6 @@ from densefw import (
     verify_base,
 )
 from densefw.errors import DisconnectedGraphError, GroundSetTooLargeError
-from densefw.graph import minimum_spanning_tree
 from densefw.treepack import PARTITION_CAP, _min_partition
 
 
@@ -232,7 +232,7 @@ class TestGreedyPacking:
             assert all(-1e-12 <= v <= 1 + 1e-12 for v in loads.values)
 
     def test_greedy_is_averaging_frank_wolfe(self):
-        """Literal greedy packing through minimum_spanning_tree alone: the
+        """Literal greedy packing through a reference Kruskal alone: the
         first tree is the MST under the indicator of the zero-weight MST,
         each later one the MST under the integer tree counts, and the k-tree
         loads are the counts over k."""
@@ -240,15 +240,15 @@ class TestGreedyPacking:
         rng = random.Random(7)
         graphs += [random_connected_graph(rng) for _ in range(10)]
         for g in graphs:
-            zero_tree = minimum_spanning_tree(g, [0] * g.m)
-            tree = minimum_spanning_tree(g, [int(i in zero_tree) for i in range(g.m)])
+            zero_tree = kruskal_by_key(g, [0] * g.m)
+            tree = kruskal_by_key(g, [int(i in zero_tree) for i in range(g.m)])
             counts = [0] * g.m
             for k in range(1, 121):
                 for i in tree:
                     counts[i] += 1
                 if k <= 40 or k == 120:
                     assert fw_tree_pack(g, k)[0].values == tuple(c / k for c in counts)
-                tree = minimum_spanning_tree(g, counts)
+                tree = kruskal_by_key(g, counts)
 
     def test_standard_schedule_hits_tolerance_within_budget(self):
         eps = 0.02

@@ -47,11 +47,6 @@ class CheckResult(Record):
     detail: str
     _fields = ("name", "ok", "detail")
 
-    def __init__(self, name: str, ok: bool, detail: str = ""):
-        self.name = name
-        self.ok = ok
-        self.detail = detail
-
 
 def run_instance_checks(g: MultiGraph, seed: int = 0) -> list[CheckResult]:
     """Run every size-appropriate invariant check against one graph."""

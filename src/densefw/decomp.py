@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DegenerateDecompositionError, FrozenRecord, OracleFlagError
+from .errors import DegenerateDecompositionError, OracleFlagError, Record
 from .polytope import BaseVector, _exact, lmo
 from .setfn import SUBMODULAR, SUPERMODULAR, SetFunctionOracle, contract, dualize, restrict, walk
 
@@ -35,7 +35,7 @@ CONTRACTION = "supermodular_contraction"
 DELETION = "submodular_deletion"
 
 
-class DenseDecomposition(FrozenRecord):
+class DenseDecomposition(Record):
     """Ordered blocks with their densities (contraction variant, strictly
     decreasing) or ratios (deletion variant, strictly increasing)."""
 
@@ -49,7 +49,7 @@ class DenseDecomposition(FrozenRecord):
             raise ValueError(f"unknown variant {variant!r}")
         if len(blocks) != len(densities):
             raise ValueError("blocks/densities length mismatch")
-        self.__dict__.update(variant=variant, blocks=blocks, densities=densities)
+        Record.__init__(self, variant, blocks, densities)
 
     def vector(self, ground: tuple[int, ...]) -> BaseVector:
         """Density vector over `ground`: each element gets its block's

@@ -39,12 +39,19 @@ class NumericalError(ArithmeticError):
 
 
 class Record:
-    """Value record: equality and repr over the attributes named in
-    `_fields`. Only instances of the same class compare equal; fields whose
-    names start with an underscore take part in equality but not in the
-    repr. Mutable records are unhashable."""
+    """Value record, frozen: `__init__(*values)` stores the values under the
+    names in `_fields`, in order, and refuses a wrong count. Equality, hash
+    and repr follow the fields; only instances of the same class compare
+    equal, and fields whose names start with an underscore take part in
+    equality but not in the repr. Attributes cannot be assigned or deleted,
+    and a record holding an unhashable field is unhashable."""
 
     _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__qualname__} takes {len(self._fields)} fields, got {len(values)}")
+        self.__dict__.update(zip(self._fields, values))
 
     def _key(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)
@@ -54,17 +61,12 @@ class Record:
             return NotImplemented
         return self._key() == other._key()
 
+    def __hash__(self):
+        return hash(self._key())
+
     def __repr__(self) -> str:
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields if name[0] != "_")
         return f"{type(self).__qualname__}({shown})"
-
-
-class FrozenRecord(Record):
-    """Record whose attributes cannot be assigned or deleted, hashed by its
-    fields. __init__ stores the fields through self.__dict__."""
-
-    def __hash__(self):
-        return hash(self._key())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {type(self).__qualname__}.{name}")

@@ -46,12 +46,6 @@ class TraceRecord(Record):
     dist_ref: float | None
     _fields = ("k", "objective", "gamma", "dist_ref")
 
-    def __init__(self, k: int, objective: float, gamma: float, dist_ref: float | None):
-        self.k = k
-        self.objective = objective
-        self.gamma = gamma
-        self.dist_ref = dist_ref
-
 
 class ConvergenceTrace(Record):
     """Per-iteration log. Row k describes iterate b^(k): the objective
@@ -60,9 +54,6 @@ class ConvergenceTrace(Record):
 
     records: list[TraceRecord]
     _fields = ("records",)
-
-    def __init__(self, records: list[TraceRecord] | None = None):
-        self.records = [] if records is None else records
 
     def to_csv(self) -> str:
         lines = ["k,objective,gamma,dist_ref"]
@@ -108,7 +99,7 @@ def frank_wolfe(
     # answers, in their own number type; the iterate is q / k.
     # Standard: the iterate itself (scale 1).
     q = w0
-    trace = ConvergenceTrace()
+    trace = ConvergenceTrace([])
     for k in range(1, iterations + 1):
         gamma = Fraction(1, k) if averaging else Fraction(2, k + 1)  # gamma_{k-1}, from iterate k-1 to k
         answer = lmo(q)

@@ -12,12 +12,12 @@ from __future__ import annotations
 from collections.abc import Iterable
 from functools import cached_property
 
-from .errors import FrozenRecord, GraphParseError
+from .errors import GraphParseError, Record
 
 VERTEX_CAP = 10**6  # largest vertex id parse_edge_list accepts
 
 
-class MultiGraph(FrozenRecord):
+class MultiGraph(Record):
     """Immutable multigraph on vertices 0..n-1."""
 
     n: int
@@ -33,7 +33,7 @@ class MultiGraph(FrozenRecord):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u} is not allowed")
-        self.__dict__.update(n=n, edges=edges)
+        Record.__init__(self, n, edges)
 
     @property
     def m(self) -> int:
@@ -109,7 +109,7 @@ def components(g: MultiGraph, edge_subset: Iterable[int]) -> int:
     for idx in subset:
         if not (0 <= idx < m):
             raise ValueError(f"edge index {idx} out of range")
-    return g.n - sum(_kruskal(g, subset))
+    return g.n - len(_kruskal(g, subset))
 
 
 def is_connected(g: MultiGraph) -> bool:
@@ -117,14 +117,15 @@ def is_connected(g: MultiGraph) -> bool:
 
 
 def _kruskal(g: MultiGraph, order: Iterable[int]) -> list[int]:
-    """Kruskal along `order`, a sequence of edge indices: 1 at each edge
-    that joins two components of the edges before it, 0 at every other
-    edge. These are the graphic rank's marginals along the order. Private,
-    so a tracer that wraps the public functions still sees `components`
-    as a leaf."""
+    """Kruskal along `order`, a sequence of edge indices: the edges that
+    join two components of the edges before them, in order. They are
+    where the graphic rank's marginals along the order are 1. Its work
+    and memory grow with n and len(order), not with m. Private, so a
+    tracer that wraps the public functions still sees `components` as a
+    leaf."""
     edges = g.edges
     parent = list(range(g.n))
-    taken = [0] * len(edges)
+    taken: list[int] = []
     left = g.n - 1  # edges a spanning forest still lacks, at most
     for idx in order:
         if not left:
@@ -138,6 +139,6 @@ def _kruskal(g: MultiGraph, order: Iterable[int]) -> list[int]:
             v = parent[v]
         if u != v:
             parent[v] = u
-            taken[idx] = 1
+            taken.append(idx)
             left -= 1
     return taken

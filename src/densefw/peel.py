@@ -24,7 +24,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from functools import cache
 
-from .errors import FrozenRecord, GroundSetTooLargeError, OracleFlagError, Record
+from .errors import GroundSetTooLargeError, OracleFlagError, Record
 from .fw import ConvergenceTrace, frank_wolfe
 from .graph import MultiGraph
 from .polytope import BaseVector
@@ -33,16 +33,13 @@ from .setfn import SUPERMODULAR, SetFunctionOracle
 SUPERGREEDY_CAP = 200  # largest ground set Super-Greedy++ accepts: one round asks O(n^2) marginals
 
 
-class PeelResult(FrozenRecord):
+class PeelResult(Record):
     """One peeling pass: removal order and recorded marginals (a base
     vector); dhat summed over order[i:] is f of that suffix."""
 
     order: tuple[int, ...]
     dhat: BaseVector
     _fields = ("order", "dhat")
-
-    def __init__(self, order: tuple[int, ...], dhat: BaseVector):
-        self.__dict__.update(order=order, dhat=dhat)
 
 
 def weighted_greedy(g: MultiGraph, w: Sequence[int]) -> PeelResult:
@@ -149,20 +146,6 @@ class GreedyPPResult(Record):
     iterations: int
     trace: ConvergenceTrace
     _fields = ("best_set", "best_density", "x", "iterations", "trace")
-
-    def __init__(
-        self,
-        best_set: frozenset[int],
-        best_density: Fraction,
-        x: BaseVector,
-        iterations: int,
-        trace: ConvergenceTrace,
-    ):
-        self.best_set = best_set
-        self.best_density = best_density
-        self.x = x
-        self.iterations = iterations
-        self.trace = trace
 
     def to_json_dict(self) -> dict:
         return {

@@ -17,12 +17,12 @@ from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from itertools import permutations
 
-from .errors import FrozenRecord, GroundSetTooLargeError, OracleFlagError
+from .errors import GroundSetTooLargeError, OracleFlagError, Record
 from .graph import MultiGraph
 from .setfn import SUBMODULAR, SetFunctionOracle, walk
 
 
-class BaseVector(FrozenRecord):
+class BaseVector(Record):
     """A point of a base polytope: values aligned with `ground` by position.
 
     Values are exact rationals for oracle outputs and certificates, floats
@@ -38,7 +38,7 @@ class BaseVector(FrozenRecord):
         ground, values = tuple(ground), tuple(values)
         if len(ground) != len(values):
             raise ValueError("ground/values length mismatch")
-        self.__dict__.update(ground=ground, values=values)
+        Record.__init__(self, ground, values)
 
     def dot(self, w: Sequence):
         if len(w) != len(self.values):
@@ -177,7 +177,7 @@ def verify_bases(f: SetFunctionOracle, xs) -> list[bool]:
     return ok
 
 
-class Orientation(FrozenRecord):
+class Orientation(Record):
     """Fractional orientation of a multigraph.
 
     share_first[i] is the fraction of edge i charged to its first-listed
@@ -187,9 +187,6 @@ class Orientation(FrozenRecord):
 
     share_first: tuple
     _fields = ("share_first",)
-
-    def __init__(self, share_first: tuple):
-        self.__dict__.update(share_first=share_first)
 
     def is_valid(self) -> bool:
         return all(0 <= s <= 1 for s in self.share_first)

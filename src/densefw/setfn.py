@@ -16,14 +16,14 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 from fractions import Fraction
 
-from .errors import FrozenRecord, GroundSetTooLargeError, OracleFlagError
+from .errors import GroundSetTooLargeError, OracleFlagError, Record
 from .graph import MultiGraph, _kruskal, components
 
 SUBMODULAR = "submodular"
 SUPERMODULAR = "supermodular"
 
 
-class SetFunctionOracle(FrozenRecord):
+class SetFunctionOracle(Record):
     """Exact-valued set function f: 2^ground -> Q with declared structure.
     Equality compares `_eval` but not the hooks."""
 
@@ -59,10 +59,8 @@ class SetFunctionOracle(FrozenRecord):
         ground = tuple(ground)
         if len(set(ground)) != len(ground):
             raise ValueError("ground set has repeated elements")
-        self.__dict__.update(
-            ground=ground, kind=kind, monotone=monotone, normalized=normalized, _eval=_eval, _gains=_gains,
-            _chain=_chain,
-        )
+        Record.__init__(self, ground, kind, monotone, normalized, _eval)
+        self.__dict__.update(_gains=_gains, _chain=_chain)
 
     @property
     def ground_set(self) -> frozenset[int]:
@@ -200,7 +198,13 @@ def graphic_rank_fn(g: MultiGraph) -> SetFunctionOracle:
 
         return gain
 
-    return SetFunctionOracle(tuple(range(g.m)), SUBMODULAR, True, True, ev, gains, lambda order: _kruskal(g, order))
+    def chain(order):
+        vals = [0] * g.m
+        for idx in _kruskal(g, order):
+            vals[idx] = 1
+        return vals
+
+    return SetFunctionOracle(tuple(range(g.m)), SUBMODULAR, True, True, ev, gains, chain)
 
 
 def dualize(f: SetFunctionOracle) -> SetFunctionOracle:

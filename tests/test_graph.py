@@ -2,6 +2,7 @@
 that the graphic rank's greedy LMO marks."""
 
 import random
+import tracemalloc
 from collections import deque
 from fractions import Fraction
 
@@ -164,6 +165,18 @@ class TestComponents:
                                 seen.add(v)
                                 queue.append(v)
             assert components(g, subset) == components(g, (i for i in subset)) == count
+
+    def test_small_subset_costs_nothing_per_edge(self):
+        """A call allocates for n and the subset, not for all m edges."""
+        g = MultiGraph(3, [(0, 1), (1, 2), (2, 0)] * 33333 + [(0, 1), (1, 2)])  # m = 100001
+        components(g, (0, 1))  # any first-call allocation happens here
+        tracemalloc.start()
+        try:
+            assert components(g, (0, 1)) == 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000
 
     @settings(deadline=None, max_examples=40)
     @given(multigraphs())

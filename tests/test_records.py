@@ -1,23 +1,32 @@
-"""Value records: frozen ones refuse assignment, equality and repr follow
-each record's fields, and MultiGraph caches what it derives."""
+"""Value records: every record is frozen, built positionally from its
+`_fields`, with equality and repr following those fields; MultiGraph caches
+what it derives."""
 
 import pytest
 
 from conftest import triangle
 from densefw import (
+    ConvergenceTrace,
+    GreedyPPResult,
     Orientation,
+    PeelResult,
     SetFunctionOracle,
     decompose_supermodular,
     edge_count_fn,
+    greedy_pp,
     lmo,
     weighted_greedy,
 )
+from densefw.checks import CheckResult, run_instance_checks  # checks loads every module with a record
+from densefw.errors import Record
+from densefw.fw import TraceRecord
 
 
 def _frozen_fields():
     g = triangle()
     f = edge_count_fn(g)
     orientation, load = Orientation.from_mask(g, 0b11), lmo(f, [0, 0, 0])
+    result = greedy_pp(g, 2)
     return [
         (g, "n"),
         (g, "edges"),
@@ -28,6 +37,10 @@ def _frozen_fields():
         (orientation, "share_first"),
         (decompose_supermodular(f), "blocks"),
         (weighted_greedy(g, [0, 0, 0]), "order"),
+        (result, "best_set"),
+        (result.trace, "records"),
+        (result.trace.records[0], "objective"),
+        (run_instance_checks(g)[0], "ok"),
     ]
 
 
@@ -39,7 +52,37 @@ def test_frozen_record_refuses_assignment(record, field):
     with pytest.raises(AttributeError):
         delattr(record, field)
     assert getattr(record, field) is value
-    assert hash(record) == hash(record)
+    if isinstance(record, (ConvergenceTrace, GreedyPPResult)):  # they hold a list of trace rows
+        with pytest.raises(TypeError):
+            hash(record)
+    else:
+        assert hash(record) == hash(record)
+
+
+@pytest.mark.parametrize("cls, values", [
+    (TraceRecord, (1, 0.0, 1.0)),
+    (TraceRecord, (1, 0.0, 1.0, None, None)),
+    (CheckResult, ("name", True)),
+    (Orientation, ()),
+    (PeelResult, ((0, 1),)),
+], ids=lambda x: x.__name__ if isinstance(x, type) else str(len(x)))
+def test_wrong_field_count_raises(cls, values):
+    with pytest.raises(TypeError, match=f"{cls.__name__} takes {len(cls._fields)} fields, got {len(values)}"):
+        cls(*values)
+
+
+def test_fields_lead_the_annotations():
+    """The positional constructor follows `_fields`, so `_fields` must be
+    the documented field order: the leading class annotations."""
+    classes, todo = [], [Record]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if cls.__module__.startswith("densefw."):
+                classes.append(cls)
+    assert len(classes) == 10
+    for cls in classes:
+        assert tuple(vars(cls)["__annotations__"])[:len(cls._fields)] == cls._fields, cls.__name__
 
 
 def test_oracle_equality_ignores_gains_and_repr_hides_callables():

@@ -2,7 +2,8 @@
 """Run the full desk-scale experiment sweep over the bundled instances.
 
 For every edge list in data/ this produces, under --out-dir:
-  NAME.decomposition.json   exact dense decomposition + density vector
+  NAME.decomposition.json   exact dense decomposition + density vector,
+                            as `densefw decompose` prints them
   NAME.peel.csv             iterated-peeling trace (objective, step, distance)
   NAME.fwqp.csv             Frank-Wolfe trace on the orientation polytope
   NAME.treepack_avg.csv     greedy tree packing trace (averaging steps)
@@ -18,12 +19,12 @@ from __future__ import annotations
 import argparse
 import json
 import time
+from fractions import Fraction
 from pathlib import Path
 
 from densefw import (
     AVERAGING,
     STANDARD,
-    decompose_supermodular,
     edge_count_fn,
     fw_qp,
     fw_tree_pack,
@@ -33,7 +34,7 @@ from densefw import (
     parse_edge_list,
     tnw_strength,
 )
-from densefw.cli import REF_SIZE_CAP
+from densefw.cli import REF_SIZE_CAP, run
 from densefw.setfn import ENUM_CAP
 from densefw.treepack import PARTITION_CAP
 
@@ -42,23 +43,22 @@ LOAD_CAP = ENUM_CAP
 
 def load_instances(data_dir: Path):
     for path in sorted(data_dir.glob("*.el")):
-        yield path.stem, parse_edge_list(path.read_text(encoding="utf-8"))
+        yield path, parse_edge_list(path.read_text(encoding="utf-8"))
 
 
-def run_one(name, g, out_dir: Path, iters: int) -> dict:
+def run_one(path: Path, g, out_dir: Path, iters: int) -> dict:
+    name = path.stem
     info: dict = {"n": g.n, "m": g.m}
     t0 = time.perf_counter()
 
     f = edge_count_fn(g)
-    dec = decompose_supermodular(f)
-    ref = dec.vector(f.ground) if g.n <= REF_SIZE_CAP else None
-    body = dec.to_json_dict()
-    if ref is not None:
-        body["density_vector"] = {str(v): str(x) for v, x in zip(ref.ground, ref.values)}
-    (out_dir / f"{name}.decomposition.json").write_text(
-        json.dumps(body, indent=2) + "\n", encoding="utf-8")
-    info["blocks"] = [list(b) for b in dec.blocks]
-    info["densities"] = [str(d) for d in dec.densities]
+    dest = out_dir / f"{name}.decomposition.json"
+    if run(["decompose", str(path), "--out", str(dest)]) != 0:
+        raise RuntimeError(f"densefw decompose failed on {path}")
+    dec = json.loads(dest.read_text(encoding="utf-8"))
+    ref = [Fraction(x) for x in dec["density_vector"].values()] if g.n <= REF_SIZE_CAP else None
+    info["blocks"] = [b["elements"] for b in dec["blocks"]]
+    info["densities"] = [b["density"] for b in dec["blocks"]]
 
     res = greedy_pp(g, iters, ref=ref)
     res.trace.write_csv(out_dir / f"{name}.peel.csv")
@@ -100,9 +100,10 @@ def main():
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     summary = {}
-    for name, g in load_instances(args.data_dir):
+    for path, g in load_instances(args.data_dir):
+        name = path.stem
         print(f"[{name}] n={g.n} m={g.m} ...", flush=True)
-        summary[name] = run_one(name, g, args.out_dir, args.iters)
+        summary[name] = run_one(path, g, args.out_dir, args.iters)
         print(f"[{name}] done in {summary[name]['seconds']}s")
     (args.out_dir / "summary.json").write_text(
         json.dumps(summary, indent=2) + "\n", encoding="utf-8")

@@ -1,11 +1,12 @@
 """Command line interface.
 
 Subcommands read an edge-list file and print one JSON object to stdout (or
---out). Rationals serialize as "p/q" strings in lowest terms, floats with
-12 significant digits; identical inputs and flags produce byte-identical
-output. Exit codes: 0 success, 2 malformed input, 3 structurally
-infeasible request (disconnected graph, ground set too large, degenerate
-oracle), 64 unknown subcommand or flag.
+--out): each handler returns the object and `run` writes it. Rationals
+serialize as "p/q" strings in lowest terms, floats with 12 significant
+digits; identical inputs and flags produce byte-identical output. Exit
+codes: 0 success, 1 a `verify` check failed, 2 malformed input, 3
+structurally infeasible request (disconnected graph, ground set too large,
+degenerate oracle), 64 unknown subcommand or flag.
 
 Each handler imports the modules its subcommand runs, so a call loads
 only those: start-up is a large share of a short run.
@@ -21,7 +22,7 @@ from fractions import Fraction
 
 from . import setfn
 from .errors import GraphParseError
-from .graph import MultiGraph, parse_edge_list
+from .graph import MultiGraph, is_connected, parse_edge_list
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -92,38 +93,40 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _emit(obj: dict, out: str | None) -> None:
-    text = json.dumps(obj, separators=(",", ":")) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _load_graph(path: str) -> MultiGraph:
     with open(path, "r", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
         return parse_edge_list(fh.read())
 
 
-def _ref(ns: argparse.Namespace, f: setfn.SetFunctionOracle):
-    """density_vector(f) if --trace/--epsilon wants it and f fits REF_SIZE_CAP."""
-    if (ns.trace or ns.epsilon is not None) and len(f.ground) <= REF_SIZE_CAP:
+def _vector(x, fmt=str) -> dict:
+    """A BaseVector as a JSON object from element to fmt(value)."""
+    return {str(e): fmt(v) for e, v in zip(x.ground, x.values)}
+
+
+def _ref(ns: argparse.Namespace, f: setfn.SetFunctionOracle, cap: int = REF_SIZE_CAP):
+    """density_vector(f) if --trace/--epsilon wants it and f has at most cap elements."""
+    if (ns.trace or ns.epsilon is not None) and len(f.ground) <= cap:
         from . import decomp
 
         return decomp.density_vector(f)
     return None
 
 
-def _cmd_density(ns: argparse.Namespace, g: MultiGraph) -> int:
+def _trace(ns: argparse.Namespace, trace) -> int:
+    """Write the trace CSV if --trace asks for it; the iteration count."""
+    if ns.trace:
+        trace.write_csv(ns.trace)
+    return len(trace.records)
+
+
+def _cmd_density(ns: argparse.Namespace, g: MultiGraph) -> dict:
     from . import decomp
 
     best, dens = decomp.densest_set_bruteforce(setfn.edge_count_fn(g))
-    _emit({"set": sorted(best), "density": str(dens)}, ns.out)
-    return EXIT_OK
+    return {"set": sorted(best), "density": str(dens)}
 
 
-def _cmd_decompose(ns: argparse.Namespace, g: MultiGraph) -> int:
+def _cmd_decompose(ns: argparse.Namespace, g: MultiGraph) -> dict:
     from . import decomp
 
     if ns.variant == "sup":
@@ -132,69 +135,56 @@ def _cmd_decompose(ns: argparse.Namespace, g: MultiGraph) -> int:
     else:
         f = setfn.graphic_rank_fn(g)
         dec = decomp.decompose_submodular_deletion(f)
-    body = dec.to_json_dict()
-    bstar = dec.vector(f.ground)
-    body["density_vector"] = {str(e): str(v) for e, v in zip(bstar.ground, bstar.values)}
-    _emit(body, ns.out)
-    return EXIT_OK
+    return {
+        "variant": dec.variant,
+        "blocks": [{"elements": sorted(b), "density": str(d)} for b, d in zip(dec.blocks, dec.densities)],
+        "density_vector": _vector(dec.vector(f.ground)),
+    }
 
 
-def _run_trace(ns: argparse.Namespace, trace) -> None:
-    if ns.trace:
-        trace.write_csv(ns.trace)
+def _peel_body(ns: argparse.Namespace, res) -> dict:
+    """The greedypp/supergreedypp body of a GreedyPPResult."""
+    return {
+        "best_set": sorted(res.best_set),
+        "best_density": str(res.best_density),
+        "iterations": _trace(ns, res.trace),
+    }
 
 
-def _cmd_greedypp(ns: argparse.Namespace, g: MultiGraph) -> int:
+def _cmd_greedypp(ns: argparse.Namespace, g: MultiGraph) -> dict:
     from . import peel
 
-    res = peel.greedy_pp(g, ns.iters, ref=_ref(ns, setfn.edge_count_fn(g)), stop_dist=ns.epsilon)
-    _run_trace(ns, res.trace)
-    _emit(res.to_json_dict(), ns.out)
-    return EXIT_OK
+    return _peel_body(ns, peel.greedy_pp(g, ns.iters, ref=_ref(ns, setfn.edge_count_fn(g)), stop_dist=ns.epsilon))
 
 
-def _cmd_supergreedypp(ns: argparse.Namespace, g: MultiGraph) -> int:
+def _cmd_supergreedypp(ns: argparse.Namespace, g: MultiGraph) -> dict:
     from . import peel
 
     if ns.fn == "edges":
         f = setfn.edge_count_fn(g)
     else:
         f = setfn.dualize(setfn.graphic_rank_fn(g))
-    res = peel.supergreedy_pp(f, ns.iters, ref=_ref(ns, f), stop_dist=ns.epsilon)
-    _run_trace(ns, res.trace)
-    _emit(res.to_json_dict(), ns.out)
-    return EXIT_OK
+    return _peel_body(ns, peel.supergreedy_pp(f, ns.iters, ref=_ref(ns, f), stop_dist=ns.epsilon))
 
 
-def _cmd_treepack(ns: argparse.Namespace, g: MultiGraph) -> int:
+def _cmd_treepack(ns: argparse.Namespace, g: MultiGraph) -> dict:
     from . import fw, treepack
 
-    ref = None
-    if (ns.trace or ns.epsilon is not None) and g.m <= setfn.ENUM_CAP:
-        ref = treepack.ideal_loads(g)
+    # a disconnected graph goes straight to fw_tree_pack's error
+    ref = _ref(ns, setfn.graphic_rank_fn(g), setfn.ENUM_CAP) if is_connected(g) else None
     # greedy mode is Frank-Wolfe with averaging steps whatever --schedule says
     schedule = ns.schedule if ns.mode == "fw" else fw.AVERAGING
     loads, trace = treepack.fw_tree_pack(g, ns.iters, schedule=schedule, ref=ref, stop_dist=ns.epsilon)
-    _run_trace(ns, trace)
-    _emit(
-        {
-            "loads": {str(e): _fmt(v) for e, v in zip(loads.ground, loads.values)},
-            "iterations": len(trace.records),
-        },
-        ns.out,
-    )
-    return EXIT_OK
+    return {"loads": _vector(loads, _fmt), "iterations": _trace(ns, trace)}
 
 
-def _cmd_idealloads(ns: argparse.Namespace, g: MultiGraph) -> int:
+def _cmd_idealloads(ns: argparse.Namespace, g: MultiGraph) -> dict:
     from . import treepack
 
-    loads = treepack.ideal_loads(g)
-    _emit({str(e): str(v) for e, v in zip(loads.ground, loads.values)}, ns.out)
-    return EXIT_OK
+    return _vector(treepack.ideal_loads(g))
 
 
-def _cmd_fw_qp(ns: argparse.Namespace, g: MultiGraph) -> int:
+def _cmd_fw_qp(ns: argparse.Namespace, g: MultiGraph) -> dict:
     from . import fw
 
     f = setfn.edge_count_fn(g)
@@ -202,31 +192,18 @@ def _cmd_fw_qp(ns: argparse.Namespace, g: MultiGraph) -> int:
     if ns.exact and ns.iters > fw.EXACT_ITERATION_CAP:  # for either schedule, as documented under --exact
         raise ValueError(f"exact mode supports at most {fw.EXACT_ITERATION_CAP} iterations")
     x, trace = fw.fw_qp(f, ns.iters, schedule=ns.schedule, ref=ref, exact=ns.exact, stop_dist=ns.epsilon)
-    _run_trace(ns, trace)
-    _emit(
-        {
-            "iterate": {str(v): _fmt(val) for v, val in zip(x.ground, x.values)},
-            "objective": _fmt(sum(float(v) ** 2 for v in x.values)),
-            "iterations": len(trace.records),
-        },
-        ns.out,
-    )
-    return EXIT_OK
+    return {
+        "iterate": _vector(x, _fmt),
+        "objective": _fmt(sum(float(v) ** 2 for v in x.values)),
+        "iterations": _trace(ns, trace),
+    }
 
 
-def _cmd_verify(ns: argparse.Namespace, g: MultiGraph) -> int:
+def _cmd_verify(ns: argparse.Namespace, g: MultiGraph) -> dict:
     from . import checks
 
     results = checks.run_instance_checks(g, seed=ns.seed)
-    ok = all(r.ok for r in results)
-    _emit(
-        {
-            "ok": ok,
-            "checks": [{"name": r.name, "ok": r.ok} for r in results],
-        },
-        ns.out,
-    )
-    return EXIT_OK if ok else 1
+    return {"ok": all(r.ok for r in results), "checks": [{"name": r.name, "ok": r.ok} for r in results]}
 
 
 _COMMANDS = {
@@ -255,13 +232,20 @@ def run(argv: list[str] | None = None) -> int:
         print("error: --epsilon must be finite and > 0", file=sys.stderr)
         return EXIT_INPUT
     try:
-        return _COMMANDS[ns.command](ns, _load_graph(ns.path))
+        body = _COMMANDS[ns.command](ns, _load_graph(ns.path))
+        text = json.dumps(body, separators=(",", ":")) + "\n"
+        if ns.out:
+            with open(ns.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        else:
+            sys.stdout.write(text)
     except (GraphParseError, OSError, UnicodeDecodeError) as e:  # the last is a ValueError: not exit 3
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except ValueError as e:  # the .errors classes behind exit 3 all subclass ValueError
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    return 1 if ns.command == "verify" and not body["ok"] else EXIT_OK
 
 
 def main() -> None:

@@ -61,15 +61,6 @@ class DenseDecomposition(Record):
         value_of = {e: val for block, val in zip(self.blocks, per_block) for e in block}
         return BaseVector(ground, tuple(value_of[e] for e in ground))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "blocks": [
-                {"elements": sorted(b), "density": str(d)}
-                for b, d in zip(self.blocks, self.densities)
-            ],
-        }
-
 
 def _densest(h: SetFunctionOracle) -> tuple[frozenset[int], Fraction]:
     """Maximal maximizer of h(S) / |S| over nonempty S, by one walk. The

@@ -81,10 +81,10 @@ def frank_wolfe(
 
     `schedule` is AVERAGING or STANDARD. The LMO is queried at w0, then at
     k * b^(k) (AVERAGING) or b^(k) (STANDARD); the result's ground is the
-    ground of its answers. `ref` enables the dist_ref trace column and the
-    optional early stop at stop_dist. Exact mode needs int or Fraction LMO
-    answers and returns Fraction iterates; under the standard schedule it
-    is capped at EXACT_ITERATION_CAP iterations.
+    ground of its answers. `ref`, as long as w0, enables the dist_ref trace
+    column and the optional early stop at stop_dist. Exact mode needs int
+    or Fraction LMO answers and returns Fraction iterates; under the
+    standard schedule it is capped at EXACT_ITERATION_CAP iterations.
     """
     if schedule not in (AVERAGING, STANDARD):
         raise ValueError(f"unknown schedule {schedule!r}")
@@ -94,6 +94,8 @@ def frank_wolfe(
     if exact and not averaging and iterations > EXACT_ITERATION_CAP:
         raise ValueError(f"exact mode supports at most {EXACT_ITERATION_CAP} iterations")
     refv = None if ref is None else [float(r) for r in (ref.values if isinstance(ref, BaseVector) else ref)]
+    if refv is not None and len(refv) != len(w0):
+        raise ValueError(f"reference has {len(refv)} elements, expected {len(w0)}")
 
     # q is where the LMO is queried. Averaging: the running sum of the
     # answers, in their own number type; the iterate is q / k.

@@ -147,13 +147,6 @@ class GreedyPPResult(Record):
     trace: ConvergenceTrace
     _fields = ("best_set", "best_density", "x", "iterations", "trace")
 
-    def to_json_dict(self) -> dict:
-        return {
-            "best_set": sorted(self.best_set),
-            "best_density": str(Fraction(self.best_density)),
-            "iterations": self.iterations,
-        }
-
 
 class _DensestSuffixLMO:
     """A peel as Frank-Wolfe's LMO: answers with the recorded marginals and

@@ -26,8 +26,9 @@ class BaseVector(Record):
     """A point of a base polytope: values aligned with `ground` by position.
 
     Values are exact rationals for oracle outputs and certificates, floats
-    for long Frank-Wolfe runs; the sum equals f(V) exactly in the rational
-    case and up to 1e-9 in the floating case.
+    for long Frank-Wolfe runs, whose sum may miss f(V) by rounding.
+    `verify_base` checks either kind exactly, a float as the binary
+    rational it holds.
     """
 
     ground: tuple[int, ...]

@@ -73,12 +73,16 @@ class SetFunctionOracle(Record):
         return self._eval(s)
 
     def marginal(self, v: int, base: Iterable[int]) -> Fraction | int:
-        """f(v | base) = f(base + v) - f(base). Errors if v already in base."""
+        """f(v | base) = f(base + v) - f(base). Errors if v already in base,
+        or if v or base is not within the ground set."""
         s = frozenset(base)
         if v in s:
             raise ValueError(f"element {v} already in the base set")
-        if v not in self.ground_set:
+        ground = self.ground_set
+        if v not in ground:
             raise ValueError(f"element {v} not in ground set")
+        if not s <= ground:
+            raise ValueError(f"subset {sorted(s)} not within ground set")
         return self._eval(s | {v}) - self._eval(s)
 
 

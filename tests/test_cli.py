@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from densefw.cli import run
 from densefw.graph import VERTEX_CAP
 from densefw.peel import SUPERGREEDY_CAP
+from test_golden import FORMS
 
 
 def invoke(capsys, argv):
@@ -45,6 +46,11 @@ class TestGoldenOutputs:
         code, out, _ = invoke(capsys, ["greedypp", "--iters", "1", str(data_dir / "k13.el")])
         assert code == 0
         assert out == '{"best_set":[0,1,2,3],"best_density":"3/4","iterations":1}\n'
+
+    def test_greedypp_two_rounds(self, capsys, data_dir):
+        code, out, _ = invoke(capsys, ["greedypp", "--iters", "2", str(data_dir / "k13.el")])
+        assert code == 0
+        assert out == '{"best_set":[0,1,2,3],"best_density":"3/4","iterations":2}\n'
 
     def test_decompose_contraction(self, capsys, data_dir):
         code, out, _ = invoke(capsys, ["decompose", str(data_dir / "three_tier.el")])
@@ -110,6 +116,18 @@ class TestGoldenOutputs:
         assert {"name": "curvature_bracket", "ok": True} in body["checks"]
 
 
+    def test_verify_failure_exits_1(self, capsys, data_dir, tmp_path, monkeypatch):
+        from densefw import checks
+
+        monkeypatch.setattr(checks, "run_instance_checks", lambda g, seed: [checks.CheckResult("x", False, "")])
+        expected = '{"ok":false,"checks":[{"name":"x","ok":false}]}\n'
+        path = str(data_dir / "triangle.el")
+        assert invoke(capsys, ["verify", path]) == (1, expected, "")
+        dest = tmp_path / "verify.json"
+        assert invoke(capsys, ["verify", path, "--out", str(dest)]) == (1, "", "")
+        assert dest.read_text(encoding="utf-8") == expected
+
+
 class TestDeterminism:
     def test_repeat_runs_are_byte_identical(self, capsys, data_dir):
         args = ["greedypp", "--iters", "6", str(data_dir / "three_tier.el")]
@@ -131,6 +149,18 @@ class TestOutputsToFiles:
         assert code == 0
         assert out == ""
         assert dest.read_text(encoding="utf-8") == '{"set":[0,1,2],"density":"1"}\n'
+
+    @pytest.mark.parametrize("form", FORMS)
+    def test_out_file_holds_the_stdout_bytes(self, capsys, data_dir, tmp_path, form):
+        """Every golden form: --out FILE gets exactly what stdout would, and stdout stays empty."""
+        def call(*extra):
+            argv = [str(tmp_path / "trace.csv") if a == "TRACE" else a for a in FORMS[form]]
+            return invoke(capsys, [*argv, str(data_dir / "tri_pendant.el"), *extra])
+
+        code, out, err = call()
+        dest = tmp_path / "result.json"
+        assert call("--out", str(dest)) == (code, "", err)
+        assert (dest.read_text(encoding="utf-8") if dest.exists() else "") == out
 
     def test_trace_csv_with_reference_column(self, capsys, data_dir, tmp_path):
         dest = tmp_path / "trace.csv"
@@ -360,8 +390,9 @@ class TestEntryPoints:
         assert proc.returncode == 0
         assert proc.stdout == '{"set":[0,1,2],"density":"1"}\n'
 
-    def test_experiment_script(self, data_dir, tmp_path):
-        """scripts/run_experiments.py runs on every bundled edge list."""
+    def test_experiment_script(self, capsys, data_dir, tmp_path):
+        """scripts/run_experiments.py runs on every bundled edge list, and
+        its decomposition files are what `densefw decompose` prints."""
         script = data_dir.parent / "scripts" / "run_experiments.py"
         proc = subprocess.run(
             [sys.executable, str(script), "--iters", "5", "--out-dir", str(tmp_path)],
@@ -369,6 +400,8 @@ class TestEntryPoints:
         assert proc.returncode == 0, proc.stderr
         summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
         assert sorted(summary) == sorted(p.stem for p in data_dir.glob("*.el"))
+        _, out, _ = invoke(capsys, ["decompose", str(data_dir / "three_tier.el")])
+        assert (tmp_path / "three_tier.decomposition.json").read_text(encoding="utf-8") == out
 
     def test_readme_library_example(self, data_dir, capsys):
         """README's Library block runs as written."""

@@ -390,16 +390,6 @@ class TestDecompositionType:
         with pytest.raises(ValueError):
             DenseDecomposition(CONTRACTION, ((0,),), ())
 
-    def test_json_shape(self):
-        dec = decompose_submodular_deletion(graphic_rank_fn(tri_pendant()))
-        assert dec.to_json_dict() == {
-            "variant": DELETION,
-            "blocks": [
-                {"elements": [3], "density": "1"},
-                {"elements": [0, 1, 2], "density": "3/2"},
-            ],
-        }
-
 
 # Frozenset references: the subset scans as they were before the int-mask
 # walk, one frozenset and one Fraction per subset, by increasing size.

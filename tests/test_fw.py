@@ -82,6 +82,21 @@ class TestFrankWolfe:
         x, _ = frank_wolfe(orientation_lmo(g), (1, 0), iterations=2, exact=True)
         assert x.values == (Fraction(1, 2), Fraction(1, 2))
 
+    def test_reference_of_wrong_length_rejected(self):
+        f = edge_count_fn(p3())
+        calls = []
+
+        def counting(w):
+            calls.append(w)
+            return lmo(f, w)
+
+        for ref in ([0] * 5, [0, 0]):
+            with pytest.raises(ValueError, match=f"reference has {len(ref)} elements, expected 3"):
+                frank_wolfe(counting, (0, 0, 0), iterations=3, ref=ref)
+            with pytest.raises(ValueError, match=f"reference has {len(ref)} elements, expected 3"):
+                fw_qp(f, 3, ref=ref)
+        assert calls == []
+
     def test_default_start_is_lmo_at_zero(self):
         g = triangle()
         x, trace = orientation_qp(g, iterations=1, exact=True)

@@ -253,9 +253,12 @@ class TestGreedyPP:
         with pytest.raises(ValueError):
             greedy_pp(triangle(), 0)
 
-    def test_json_shape(self):
-        d = greedy_pp(star(), 2).to_json_dict()
-        assert d == {"best_set": [0, 1, 2, 3], "best_density": "3/4", "iterations": 2}
+    def test_reference_of_wrong_length_rejected(self):
+        g = MultiGraph(3, ((0, 1), (1, 2)))
+        with pytest.raises(ValueError, match="reference has 2 elements, expected 3"):
+            greedy_pp(g, 5, ref=[1, 1], stop_dist=0.5)
+        with pytest.raises(ValueError, match="reference has 4 elements, expected 3"):
+            supergreedy_pp(edge_count_fn(g), 5, ref=[1, 1, 1, 1])
 
 
 class TestSupergreedyPP:

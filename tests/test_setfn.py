@@ -69,6 +69,12 @@ class TestOracleBasics:
         with pytest.raises(ValueError):
             f.marginal(7, {0})
 
+    @pytest.mark.parametrize("make", [edge_count_fn, lambda g: dualize(graphic_rank_fn(g))])
+    def test_marginal_base_outside_ground_rejected(self, make):
+        f = make(MultiGraph(3, ((0, 1), (1, 2))))
+        with pytest.raises(ValueError, match="not within ground set"):
+            f.marginal(0, {1, 99})
+
 
 class TestEdgeCount:
     def test_triangle_full(self):

@@ -18,11 +18,13 @@ from . import decomp, fw, peel, polytope, setfn, treepack
 from .errors import Record
 from .graph import MultiGraph, is_connected
 
+_ORIENTATION_CAP = 10  # largest edge set integral_orientation_loads enumerates
+
 
 def integral_orientation_loads(g: MultiGraph) -> list[tuple[int, ...]]:
     """Loads of all 2^m integral orientations, one row per orientation."""
-    if g.m > 10:
-        raise ValueError("orientation enumeration limited to 10 edges")
+    if g.m > _ORIENTATION_CAP:
+        raise ValueError(f"orientation enumeration limited to {_ORIENTATION_CAP} edges")
     return [polytope.Orientation.from_mask(g, mask).induced_load(g).values for mask in range(1 << g.m)]
 
 
@@ -45,7 +47,6 @@ class CheckResult(Record):
     name: str
     ok: bool
     detail: str
-    _fields = ("name", "ok", "detail")
 
 
 def run_instance_checks(g: MultiGraph, seed: int = 0) -> list[CheckResult]:
@@ -85,7 +86,7 @@ def run_instance_checks(g: MultiGraph, seed: int = 0) -> list[CheckResult]:
                 break
         add("edmonds_minimizes", ok)
 
-    if g.m <= 10:
+    if g.m <= _ORIENTATION_CAP:
         loads = integral_orientation_loads(g)
         distinct = set(loads)
         if g.n <= setfn.ENUM_CAP:  # verify_bases scans all 2^n vertex subsets
@@ -121,8 +122,9 @@ def run_instance_checks(g: MultiGraph, seed: int = 0) -> list[CheckResult]:
 
     if is_connected(g) and 2 <= g.n <= treepack.PARTITION_CAP and g.m <= setfn.ENUM_CAP:
         ideal = treepack.ideal_loads(g)
-        add("ideal_loads_match_partitions", ideal.values == treepack.tnw_ideal_loads(g).values)
+        tau, tnw = treepack._tnw(g)  # one scan gives the strength and the top level of the loads
+        add("ideal_loads_match_partitions", ideal.values == tnw.values)
         add("ideal_loads_are_base", polytope.verify_base(f_rank, ideal))
-        add("max_load_is_inv_strength", max(ideal.values) == 1 / treepack.tnw_strength(g))
+        add("max_load_is_inv_strength", max(ideal.values) == 1 / tau)
     return out
 

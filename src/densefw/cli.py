@@ -30,6 +30,7 @@ EXIT_INFEASIBLE = 3
 EXIT_USAGE = 64
 
 REF_SIZE_CAP = 12  # compute exact reference vectors for traces up to this size
+EXACT_ITERATION_CAP = 20  # fw-qp --exact iterations, under either schedule
 
 
 class _Parser(argparse.ArgumentParser):
@@ -189,8 +190,8 @@ def _cmd_fw_qp(ns: argparse.Namespace, g: MultiGraph) -> dict:
 
     f = setfn.edge_count_fn(g)
     ref = _ref(ns, f)
-    if ns.exact and ns.iters > fw.EXACT_ITERATION_CAP:  # for either schedule, as documented under --exact
-        raise ValueError(f"exact mode supports at most {fw.EXACT_ITERATION_CAP} iterations")
+    if ns.exact and ns.iters > EXACT_ITERATION_CAP:
+        raise ValueError(f"exact mode supports at most {EXACT_ITERATION_CAP} iterations")
     x, trace = fw.fw_qp(f, ns.iters, schedule=ns.schedule, ref=ref, exact=ns.exact, stop_dist=ns.epsilon)
     return {
         "iterate": _vector(x, _fmt),

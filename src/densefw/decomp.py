@@ -42,7 +42,6 @@ class DenseDecomposition(Record):
     variant: str
     blocks: tuple[tuple[int, ...], ...]
     densities: tuple[Fraction, ...]
-    _fields = ("variant", "blocks", "densities")
 
     def __init__(self, variant: str, blocks: tuple[tuple[int, ...], ...], densities: tuple[Fraction, ...]):
         if variant not in (CONTRACTION, DELETION):

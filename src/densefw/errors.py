@@ -40,13 +40,17 @@ class NumericalError(ArithmeticError):
 
 class Record:
     """Value record, frozen: `__init__(*values)` stores the values under the
-    names in `_fields`, in order, and refuses a wrong count. Equality, hash
-    and repr follow the fields; only instances of the same class compare
-    equal, and fields whose names start with an underscore take part in
-    equality but not in the repr. Attributes cannot be assigned or deleted,
-    and a record holding an unhashable field is unhashable."""
+    names in `_fields`, a subclass's own annotations after its base's, in
+    order, and refuses a wrong count. Equality, hash and repr follow the
+    fields; only instances of the same class compare equal, and fields whose
+    names start with an underscore take part in equality but not in the
+    repr. Attributes cannot be assigned or deleted, and a record holding an
+    unhashable field is unhashable."""
 
     _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        cls._fields += tuple(vars(cls).get("__annotations__", ()))
 
     def __init__(self, *values):
         if len(values) != len(self._fields):

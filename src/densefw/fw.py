@@ -34,7 +34,6 @@ from .graph import MultiGraph
 from .polytope import BaseVector, lmo
 from .setfn import SetFunctionOracle
 
-EXACT_ITERATION_CAP = 20  # exact iterations under the standard schedule, whose denominators grow
 AVERAGING = "avg"  # step schedule gamma_k = 1/(k+1), the CLI's --schedule avg
 STANDARD = "standard"  # step schedule gamma_k = 2/(k+2)
 
@@ -44,7 +43,6 @@ class TraceRecord(Record):
     objective: float
     gamma: float
     dist_ref: float | None
-    _fields = ("k", "objective", "gamma", "dist_ref")
 
 
 class ConvergenceTrace(Record):
@@ -53,7 +51,6 @@ class ConvergenceTrace(Record):
     to a reference vector."""
 
     records: list[TraceRecord]
-    _fields = ("records",)
 
     def to_csv(self) -> str:
         lines = ["k,objective,gamma,dist_ref"]
@@ -83,16 +80,14 @@ def frank_wolfe(
     k * b^(k) (AVERAGING) or b^(k) (STANDARD); the result's ground is the
     ground of its answers. `ref`, as long as w0, enables the dist_ref trace
     column and the optional early stop at stop_dist. Exact mode needs int
-    or Fraction LMO answers and returns Fraction iterates; under the
-    standard schedule it is capped at EXACT_ITERATION_CAP iterations.
+    or Fraction LMO answers and returns Fraction iterates; for int answers
+    the denominators divide k, or k(k+1)/2 under STANDARD.
     """
     if schedule not in (AVERAGING, STANDARD):
         raise ValueError(f"unknown schedule {schedule!r}")
     averaging = schedule == AVERAGING
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    if exact and not averaging and iterations > EXACT_ITERATION_CAP:
-        raise ValueError(f"exact mode supports at most {EXACT_ITERATION_CAP} iterations")
     refv = None if ref is None else [float(r) for r in (ref.values if isinstance(ref, BaseVector) else ref)]
     if refv is not None and len(refv) != len(w0):
         raise ValueError(f"reference has {len(refv)} elements, expected {len(w0)}")
@@ -128,7 +123,9 @@ def frank_wolfe(
         trace.records.append(TraceRecord(k, objective, float(gamma), dist))
         if stop_dist is not None and dist is not None and dist <= stop_dist:
             break
-    return BaseVector(answer.ground, tuple(Fraction(t, scale) for t in q) if exact else x), trace
+    if exact:  # one Fraction per distinct value, shared by the elements holding it
+        x = tuple(map({t: Fraction(t, scale) for t in set(q)}.__getitem__, q))
+    return BaseVector(answer.ground, x), trace
 
 
 def fw_qp(f: SetFunctionOracle, iterations: int, *, schedule: str = AVERAGING, ref: Sequence | None = None,

@@ -22,7 +22,6 @@ class MultiGraph(Record):
 
     n: int
     edges: tuple[tuple[int, int], ...]
-    _fields = ("n", "edges")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
         if n < 1:

@@ -39,7 +39,6 @@ class PeelResult(Record):
 
     order: tuple[int, ...]
     dhat: BaseVector
-    _fields = ("order", "dhat")
 
 
 def weighted_greedy(g: MultiGraph, w: Sequence[int]) -> PeelResult:
@@ -145,7 +144,6 @@ class GreedyPPResult(Record):
     x: BaseVector
     iterations: int
     trace: ConvergenceTrace
-    _fields = ("best_set", "best_density", "x", "iterations", "trace")
 
 
 class _DensestSuffixLMO:

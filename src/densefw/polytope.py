@@ -33,7 +33,6 @@ class BaseVector(Record):
 
     ground: tuple[int, ...]
     values: tuple
-    _fields = ("ground", "values")
 
     def __init__(self, ground: Iterable[int], values: Iterable):
         ground, values = tuple(ground), tuple(values)
@@ -187,7 +186,6 @@ class Orientation(Record):
     """
 
     share_first: tuple
-    _fields = ("share_first",)
 
     def is_valid(self) -> bool:
         return all(0 <= s <= 1 for s in self.share_first)

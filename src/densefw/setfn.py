@@ -32,7 +32,7 @@ class SetFunctionOracle(Record):
     monotone: bool
     normalized: bool
     _eval: Callable[[frozenset[int]], Fraction | int]
-    # Two optional hooks that answer without evaluating a set:
+    # Two optional hooks, outside the fields, answer without evaluating a set:
     # _gains(elems, base) returns gain(mask, j) = f(S | base | {elems[j]}) -
     # f(S | base), where bit j is clear in mask and S is the subset of elems
     # whose positions are set in mask; `walk` and Super-Greedy++ move by it,
@@ -40,9 +40,6 @@ class SetFunctionOracle(Record):
     # the greedy marginals `polytope.lmo` hands out along an order of
     # positions of ground (prefixes for submodular f, suffixes for
     # supermodular f), in O(m) for both graph oracles.
-    _gains: Callable | None
-    _chain: Callable | None
-    _fields = ("ground", "kind", "monotone", "normalized", "_eval")
 
     def __init__(
         self,
@@ -78,12 +75,10 @@ class SetFunctionOracle(Record):
         s = frozenset(base)
         if v in s:
             raise ValueError(f"element {v} already in the base set")
-        ground = self.ground_set
-        if v not in ground:
+        if v not in self.ground_set:
             raise ValueError(f"element {v} not in ground set")
-        if not s <= ground:
-            raise ValueError(f"subset {sorted(s)} not within ground set")
-        return self._eval(s | {v}) - self._eval(s)
+        before = self.value(s)  # refuses a base outside the ground set
+        return self._eval(s | {v}) - before
 
 
 def edge_count_fn(g: MultiGraph) -> SetFunctionOracle:
@@ -322,24 +317,25 @@ def _gray(f: SetFunctionOracle):
 CHECK_CAP = 8  # largest ground set check_kind and check_monotone accept
 
 
+def _check_table(f: SetFunctionOracle, check: str) -> dict:
+    """f's value at every int mask, for an exhaustive check of at most CHECK_CAP elements."""
+    if len(f.ground) > CHECK_CAP:
+        raise GroundSetTooLargeError(f"{check} check limited to {CHECK_CAP} elements, got {len(f.ground)}")
+    return {mask: v for mask, _, v in walk(f)}
+
+
 def check_kind(f: SetFunctionOracle) -> bool:
     """Exhaustively verify the declared kind via
     f(A) + f(B) vs f(A|B) + f(A&B) over all subset pairs. Test-mode only."""
-    n = len(f.ground)
-    if n > CHECK_CAP:
-        raise GroundSetTooLargeError(f"kind check limited to {CHECK_CAP} elements, got {n}")
-    vals = {mask: v for mask, _, v in walk(f)}
+    vals = _check_table(f, "kind")
     sign = 1 if f.kind == SUBMODULAR else -1
     return all(sign * (vals[a] + vals[b] - vals[a | b] - vals[a & b]) >= 0 for a in vals for b in vals)
 
 
 def check_monotone(f: SetFunctionOracle) -> bool:
     """Exhaustively verify f(S) <= f(S + v) for all S, v. Test-mode only."""
-    n = len(f.ground)
-    if n > CHECK_CAP:
-        raise GroundSetTooLargeError(f"monotonicity check limited to {CHECK_CAP} elements, got {n}")
-    vals = {mask: v for mask, _, v in walk(f)}
-    return all(vals[s] <= vals[s | 1 << j] for s in vals for j in range(n))
+    vals = _check_table(f, "monotonicity")
+    return all(vals[s] <= vals[s | 1 << j] for s in vals for j in range(len(f.ground)))
 
 
 def check_normalized(f: SetFunctionOracle) -> bool:

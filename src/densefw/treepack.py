@@ -14,7 +14,7 @@ tnw_ideal_loads recomputes it independently from vertex partitions: find
 the finest partition reaching tau, give its crossing edges 1/tau, recurse
 on each part. Partitions come from one restricted-growth pass that carries
 the crossing count as each vertex is placed. tnw_strength and
-tnw_ideal_loads are the cross-check used in tests and by `verify`.
+tnw_ideal_loads are the cross-check used in tests and (as `_tnw`) by `verify`.
 """
 
 from __future__ import annotations
@@ -108,25 +108,27 @@ def tnw_strength(g: MultiGraph) -> Fraction:
 def tnw_ideal_loads(g: MultiGraph) -> BaseVector:
     """Independent ideal-load oracle: find the finest minimizing partition,
     assign 1/tau to its crossing edges, recurse on each part."""
+    return _tnw(g)[1]
+
+
+def _tnw(g: MultiGraph) -> tuple[Fraction | None, BaseVector]:
+    """tnw_strength(g), None without edges, and tnw_ideal_loads(g), from
+    one partition scan per part: the first part is the whole edge set."""
     _require_connected(g)
     out: dict[int, Fraction] = {}
-    _tnw_recurse(g, list(range(g.m)), out)
-    return BaseVector(tuple(range(g.m)), tuple(out[i] for i in range(g.m)))
-
-
-def _tnw_recurse(g: MultiGraph, edge_ids: list[int], out: dict[int, Fraction]) -> None:
-    if not edge_ids:
-        return
-    tau, _, ends = _min_partition(g, edge_ids)
-    load = 1 / tau
-    groups: dict[int, list[int]] = {}
-    for i, (pu, pv) in zip(edge_ids, ends):
-        if pu != pv:
-            out[i] = load
-        else:
-            groups.setdefault(pu, []).append(i)
-    for sub in groups.values():
-        _tnw_recurse(g, sub, out)
+    strength, parts = None, [list(range(g.m))] if g.m else []
+    while parts:
+        edge_ids = parts.pop()
+        tau, _, ends = _min_partition(g, edge_ids)
+        strength = strength or tau  # tau > 0: each part is connected
+        groups: dict[int, list[int]] = {}
+        for i, (pu, pv) in zip(edge_ids, ends):
+            if pu != pv:
+                out[i] = 1 / tau
+            else:
+                groups.setdefault(pu, []).append(i)
+        parts += groups.values()
+    return strength, BaseVector(tuple(range(g.m)), tuple(out[i] for i in range(g.m)))
 
 
 def fw_tree_pack(

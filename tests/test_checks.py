@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import k4, random_multigraph, single_edge, three_tier, tri_pendant, triangle
-from densefw import MultiGraph, curvature_bounds, edge_count_fn, verify_base
+from densefw import MultiGraph, curvature_bounds, edge_count_fn, treepack, verify_base
 from densefw.checks import (
     curvature_witness,
     integral_orientation_loads,
@@ -77,6 +77,23 @@ class TestRunInstanceChecks:
         assert "orientation_loads_are_bases" not in names
         assert "curvature_bracket" in names
         assert all(r.ok for r in results)
+
+    def test_partition_checks_scan_the_whole_graph_once(self, monkeypatch):
+        """The strength behind max_load_is_inv_strength is the tau of the
+        top-level scan that ideal_loads_match_partitions already runs."""
+        scan, whole = treepack._min_partition, []
+
+        def counting(g, edge_ids):
+            edge_ids = list(edge_ids)
+            whole.append(len(edge_ids) == g.m)
+            return scan(g, edge_ids)
+
+        monkeypatch.setattr(treepack, "_min_partition", counting)
+        results = run_instance_checks(tri_pendant())
+        names = {r.name for r in results}
+        assert {"ideal_loads_match_partitions", "max_load_is_inv_strength"} <= names
+        assert all(r.ok for r in results)
+        assert whole.count(True) == 1
 
     def test_results_are_deterministic_for_a_seed(self):
         a = run_instance_checks(triangle(), seed=7)

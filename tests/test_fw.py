@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import partial
 
@@ -23,8 +24,9 @@ from densefw import (
     lmo,
     verify_base,
 )
+from densefw.cli import EXACT_ITERATION_CAP
 from densefw.errors import NumericalError
-from densefw.fw import EXACT_ITERATION_CAP, harmonic_number, harmonic_numbers_float
+from densefw.fw import harmonic_number, harmonic_numbers_float
 
 
 def orientation_lmo(g):
@@ -173,6 +175,38 @@ class TestFrankWolfe:
         assert x.values == tuple(Fraction(t, iters) for t in total)
         assert all(type(v) is Fraction for v in x.values)
 
+    def test_exact_standard_runs_past_the_cli_cap(self):
+        """Under the 2/(k+2) rule b^(k) = sum_i i d^(i) / (k(k+1)/2), so an
+        exact run's denominators divide k(k+1)/2 and stay small."""
+        g = tri_pendant()
+        lmo = orientation_lmo(g)
+        iters = 3 * EXACT_ITERATION_CAP
+        x, trace = orientation_qp(g, schedule=STANDARD, iterations=iters, exact=True)
+        assert len(trace.records) == iters
+        b = lmo((0,) * 4).values  # the first query; gamma_0 = 1 drops it
+        for k, rec in enumerate(trace.records, 1):
+            gamma = Fraction(2, k + 1)
+            b = tuple((1 - gamma) * t + gamma * d for t, d in zip(b, lmo(b).values))
+            assert rec.objective == float(sum(t * t for t in b))
+            assert all(k * (k + 1) // 2 % t.denominator == 0 for t in b)
+        assert x.values == b
+        assert all(type(v) is Fraction for v in x.values)
+
+    def test_exact_iterate_shares_its_fractions(self):
+        """An exact iterate holds one Fraction per distinct value, not one per
+        element: over 10^5 elements it costs little more than its tuple."""
+        n = 10 ** 5
+        answer = BaseVector(tuple(range(n)), (0, 1) * (n // 2))
+        tracemalloc.start()
+        try:
+            x, _ = frank_wolfe(lambda w: answer, answer.values, iterations=2, exact=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert x.values == answer.values
+        assert all(type(v) is Fraction for v in x.values)
+        assert peak < 3 * 10 ** 6  # one Fraction per element takes over 5 MB more
+
     def test_exact_iterates_stay_in_the_polytope(self):
         for g in (triangle(), tri_pendant(), k4()):
             f = edge_count_fn(g)
@@ -205,8 +239,9 @@ class TestFrankWolfe:
     def test_iteration_validation(self):
         with pytest.raises(ValueError):
             frank_wolfe(lambda w: None, (0,), iterations=0)
-        with pytest.raises(ValueError):
-            frank_wolfe(lambda w: None, (0,), schedule=STANDARD, iterations=21, exact=True)
+        point = BaseVector((0,), (1,))  # the library leaves the exact-iteration cap to the CLI
+        x, trace = frank_wolfe(lambda w: point, (0,), schedule=STANDARD, iterations=EXACT_ITERATION_CAP + 1, exact=True)
+        assert (x.values, len(trace.records)) == ((1,), EXACT_ITERATION_CAP + 1)
 
     def test_non_finite_iterate_detected(self):
         for values in ((float("inf"),), (float("nan"),), (1.0, 0.0, float("nan")), (2.0, float("-inf"))):

@@ -1,6 +1,6 @@
-"""Value records: every record is frozen, built positionally from its
-`_fields`, with equality and repr following those fields; MultiGraph caches
-what it derives."""
+"""Value records: every record is frozen, built positionally from the
+fields its annotations name, with equality and repr following those
+fields; MultiGraph caches what it derives."""
 
 import pytest
 
@@ -71,9 +71,29 @@ def test_wrong_field_count_raises(cls, values):
         cls(*values)
 
 
+def test_fields_come_from_the_annotations():
+    class Point(Record):
+        y: int
+        x: int
+
+        def total(self):
+            return self.x + self.y
+
+    class Labelled(Point):
+        label: str
+
+    assert (Record._fields, Point._fields, Labelled._fields) == ((), ("y", "x"), ("y", "x", "label"))
+    p = Labelled(1, 2, "a")
+    assert (p.y, p.x, p.label, p.total()) == (1, 2, "a", 3)
+    assert repr(p).endswith(".Labelled(y=1, x=2, label='a')")  # a qualified name
+    assert p == Labelled(1, 2, "a") != Labelled(2, 1, "a")
+    with pytest.raises(TypeError, match=r"\.Point takes 2 fields, got 3$"):
+        Point(1, 2, 3)
+
+
 def test_fields_lead_the_annotations():
-    """The positional constructor follows `_fields`, so `_fields` must be
-    the documented field order: the leading class annotations."""
+    """The positional constructor follows `_fields`, which every package
+    record takes whole from its annotations; the oracle hooks stay out."""
     classes, todo = [], [Record]
     while todo:
         for cls in todo.pop().__subclasses__():
@@ -82,7 +102,8 @@ def test_fields_lead_the_annotations():
                 classes.append(cls)
     assert len(classes) == 10
     for cls in classes:
-        assert tuple(vars(cls)["__annotations__"])[:len(cls._fields)] == cls._fields, cls.__name__
+        assert tuple(vars(cls)["__annotations__"]) == cls._fields, cls.__name__
+    assert SetFunctionOracle._fields == ("ground", "kind", "monotone", "normalized", "_eval")
 
 
 def test_oracle_equality_ignores_gains_and_repr_hides_callables():

@@ -34,7 +34,7 @@ from densefw import (
     verify_base,
 )
 from densefw.errors import DisconnectedGraphError, GroundSetTooLargeError
-from densefw.treepack import PARTITION_CAP, _min_partition
+from densefw.treepack import PARTITION_CAP, _min_partition, _tnw
 
 
 def cycle(n):
@@ -105,6 +105,11 @@ class TestStrength:
     def test_max_load_is_reciprocal_strength(self):
         for name, g in canonical_graphs():
             assert max(ideal_loads(g).values) == 1 / tnw_strength(g), name
+
+    def test_one_pass_gives_strength_and_loads(self):
+        for name, g in canonical_graphs():
+            assert _tnw(g) == (tnw_strength(g), tnw_ideal_loads(g)), name
+        assert _tnw(MultiGraph(1, ())) == (None, tnw_ideal_loads(MultiGraph(1, ())))
 
     def test_errors(self):
         with pytest.raises(DisconnectedGraphError):

@@ -38,8 +38,6 @@ from densefw.cli import REF_SIZE_CAP, run
 from densefw.setfn import ENUM_CAP
 from densefw.treepack import PARTITION_CAP
 
-LOAD_CAP = ENUM_CAP
-
 
 def load_instances(data_dir: Path):
     for path in sorted(data_dir.glob("*.el")):
@@ -73,7 +71,7 @@ def run_one(path: Path, g, out_dir: Path, iters: int) -> dict:
         info["fwqp_final_dist"] = tr.records[-1].dist_ref
 
     if is_connected(g) and g.n >= 2:
-        loads_ref = ideal_loads(g) if g.m <= LOAD_CAP else None
+        loads_ref = ideal_loads(g) if g.m <= ENUM_CAP else None
         for tag, sched in (("avg", AVERAGING), ("std", STANDARD)):
             _, tr = fw_tree_pack(g, iters, schedule=sched, ref=loads_ref)
             tr.write_csv(out_dir / f"{name}.treepack_{tag}.csv")

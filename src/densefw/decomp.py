@@ -85,9 +85,12 @@ def _densest(h: SetFunctionOracle) -> tuple[frozenset[int], Fraction]:
 
 def densest_set_bruteforce(f: SetFunctionOracle) -> tuple[frozenset[int], Fraction]:
     """Maximal maximizer of f(S)/|S| over nonempty S, by full enumeration;
-    it is the first block of `decompose_supermodular`."""
+    it is the first block of `decompose_supermodular`. An empty ground set
+    raises ValueError before the oracle is asked anything."""
     if f.kind != SUPERMODULAR:
         raise OracleFlagError("densest_set_bruteforce needs a supermodular oracle")
+    if not f.ground:
+        raise ValueError("densest_set_bruteforce needs a nonempty ground set, got an empty one")
     return _densest(f)
 
 

@@ -12,9 +12,10 @@ greedy_pp / supergreedy_pp are fw.frank_wolfe with the averaging schedule
 and the peel as its (noisy) LMO: frank_wolfe queries it at the running sum
 of its answers, so round k+1 peels with the cumulative loads k * b^(k), which
 is the Greedy++ rule. The marginals telescope (dhat summed over a suffix of
-the order is f of that suffix), and the LMO wrapper tracks, exactly, the
-best suffix density seen in any round (including the full set; the first
-round is plain unweighted peeling).
+the order is f of that suffix), so a run reads each round's suffix densities
+off its answer and keeps, exactly, the densest suffix of any round (the full
+set first; the first round is plain unweighted peeling). The peel a run
+queries lists positions of its ground, which for Greedy++ are the vertices.
 """
 
 from __future__ import annotations
@@ -85,14 +86,16 @@ def weighted_supergreedy(f: SetFunctionOracle, w: Sequence) -> PeelResult:
     (O(1) amortized for both graph oracles and their duals) or, without a
     hook, one new evaluation. Ground sets above SUPERGREEDY_CAP raise
     GroundSetTooLargeError before the oracle is asked anything."""
-    return _supergreedy(f)(w)
+    pr = _supergreedy(f)(w)
+    return PeelResult(tuple(map(f.ground.__getitem__, pr.order)), pr.dhat)
 
 
 def _supergreedy(f: SetFunctionOracle):
-    """weighted_supergreedy as a peel of w alone, for a whole run: the gain
-    function, gain(mask, j) = f(S + j) - f(S) over positions of f.ground,
-    and f(ground) are built once. The gain is f's own `_gains` hook, or
-    for an oracle without one the difference of two values."""
+    """weighted_supergreedy as a peel of w alone, for a whole run, whose
+    order lists positions of f.ground: the gain function,
+    gain(mask, j) = f(S + j) - f(S) over those positions, and f(ground) are
+    built once. The gain is f's own `_gains` hook, or for an oracle without
+    one the difference of two values."""
     if f.kind != SUPERMODULAR:
         raise OracleFlagError("weighted_supergreedy needs a supermodular oracle")
     ground = f.ground
@@ -119,12 +122,12 @@ def _supergreedy(f: SetFunctionOracle):
             keys = [w[p] + d for p, d in zip(rest, margs)]
             i = keys.index(min(keys))  # the first minimum: ties to the smaller element
             p = rest.pop(i)
-            order.append(ground[p])
+            order.append(p)
             dhat[p] = margs[i]
             left -= margs[i]
             mask ^= 1 << p
         if rest:
-            order.append(ground[rest[0]])
+            order.append(rest[0])
             dhat[rest[0]] = left  # f({u}): keeps the totals at f(V)
         return PeelResult(tuple(order), BaseVector(ground, tuple(dhat)))
 
@@ -136,44 +139,14 @@ class GreedyPPResult(Record):
 
     best_set/best_density: densest suffix seen anywhere, exact arithmetic,
     first strict improvement wins ties. x: the final averaged iterate b^(T)
-    as exact rationals (iterations * x is the cumulative marginal vector).
+    as exact rationals, T = len(trace.records) (T * x is the cumulative
+    marginal vector).
     """
 
     best_set: frozenset[int]
     best_density: Fraction
     x: BaseVector
-    iterations: int
     trace: ConvergenceTrace
-
-
-class _DensestSuffixLMO:
-    """A peel as Frank-Wolfe's LMO: answers with the recorded marginals and
-    keeps the densest suffix of any round's order in best_set/best_density.
-    The first query is at zero weights, so the full set is the first
-    candidate."""
-
-    def __init__(self, ground: tuple[int, ...], peel_once):
-        self.peel_once = peel_once
-        self.pos = {e: i for i, e in enumerate(ground)}
-        self.best_set = frozenset(ground)
-        self.best_density = None
-
-    def __call__(self, w) -> BaseVector:
-        pr = self.peel_once(w)
-        dhat = pr.dhat.values  # aligned with ground
-        n = len(dhat)
-        left = sum(dhat)  # f(ground), as the marginals telescope
-        if self.best_density is None:
-            self.best_density = Fraction(left, n)
-        num, den, best_i = self.best_density.numerator, self.best_density.denominator, None
-        # left is f(order[i:]); compare left/(n-i) with num/den by cross-multiplying
-        for i, u in enumerate(pr.order):
-            if left * den > num * (n - i):
-                num, den, best_i = left, n - i, i
-            left -= dhat[self.pos[u]]
-        if best_i is not None:
-            self.best_density, self.best_set = Fraction(num, den), frozenset(pr.order[best_i:])
-        return pr.dhat
 
 
 def greedy_pp(
@@ -185,7 +158,7 @@ def greedy_pp(
     """Iterated degree peeling with cumulative integer weights. One
     iteration is plain unweighted peeling; the densest suffix across all
     iterations is the reported set."""
-    return _peel_pp(tuple(range(g.n)), lambda w: weighted_greedy(g, w), iterations, ref, stop_dist)
+    return _peel_pp(g.n, lambda w: weighted_greedy(g, w), iterations, ref, stop_dist)
 
 
 def supergreedy_pp(
@@ -195,12 +168,32 @@ def supergreedy_pp(
     stop_dist: float | None = None,
 ) -> GreedyPPResult:
     """Iterated supermodular peeling with cumulative rational weights; one
-    peel, built once by `_supergreedy`, serves the whole run."""
-    return _peel_pp(f.ground, _supergreedy(f), iterations, ref, stop_dist)
+    peel, built once by `_supergreedy`, serves the whole run. An empty
+    ground set raises ValueError before the oracle is asked anything."""
+    if not f.ground:
+        raise ValueError("supergreedy_pp needs a nonempty ground set, got an empty one")
+    return _peel_pp(len(f.ground), _supergreedy(f), iterations, ref, stop_dist)
 
 
-def _peel_pp(ground, peel_once, iterations, ref, stop_dist) -> GreedyPPResult:
-    """Exact averaging Frank-Wolfe from zero weights with peel_once as the LMO."""
-    lmo = _DensestSuffixLMO(ground, peel_once)
-    x, trace = frank_wolfe(lmo, (0,) * len(ground), exact=True, iterations=iterations, ref=ref, stop_dist=stop_dist)
-    return GreedyPPResult(lmo.best_set, lmo.best_density, x, len(trace.records), trace)
+def _peel_pp(n: int, peel_once, iterations, ref, stop_dist) -> GreedyPPResult:
+    """Exact averaging Frank-Wolfe from zero weights over n elements with
+    peel_once as the LMO, keeping the densest suffix of any answer (the full
+    set first); peel_once's order lists positions of its answer's ground."""
+    num, den, best_set = 0, 0, None  # the densest suffix so far has density num/den; den == 0 at first
+
+    def lmo(w) -> BaseVector:
+        nonlocal num, den, best_set
+        pr = peel_once(w)
+        dhat = pr.dhat.values
+        left, best_i = sum(dhat), None  # f(ground), as the marginals telescope
+        # left is f(order[i:]); compare left/(n-i) with num/den by cross-multiplying
+        for i, p in enumerate(pr.order):
+            if not den or left * den > num * (n - i):
+                num, den, best_i = left, n - i, i
+            left -= dhat[p]
+        if best_i is not None:
+            best_set = frozenset(map(pr.dhat.ground.__getitem__, pr.order[best_i:]))
+        return pr.dhat
+
+    x, trace = frank_wolfe(lmo, (0,) * n, exact=True, iterations=iterations, ref=ref, stop_dist=stop_dist)
+    return GreedyPPResult(best_set, Fraction(num, den), x, trace)

@@ -255,18 +255,25 @@ class TestExitCodes:
          (["treepack"], 3, ""),
          (["decompose", "--variant", "sub-del"], 0,
           '{"variant":"submodular_deletion","blocks":[{"elements":[0],"density":"1"}],"density_vector":{"0":"1"}}\n'),
-         (["greedypp", "--iters", "1"], 0, '{"best_set":[0,1000000],"best_density":"1/2","iterations":1}\n')],
-        ids=["density", "decompose", "idealloads", "supergreedypp", "treepack", "decompose-sub-del", "greedypp"],
+         (["greedypp", "--iters", "1"], 0, '{"best_set":[0,1000000],"best_density":"1/2","iterations":1}\n'),
+         (["fw-qp", "--iters", "1"], 0, None)],
+        ids=["density", "decompose", "idealloads", "supergreedypp", "treepack", "decompose-sub-del", "greedypp",
+             "fw-qp"],
     )
     def test_near_cap_vertex_id(self, tmp_path, args, code, out):
         """An id of exactly graph.VERTEX_CAP parses, giving 10^6 + 1
         vertices. The subset walk refuses that ground set before it builds
         any mask, and the connectivity and Super-Greedy++ checks refuse it
         before their work, all under the 1 GiB child limit; sub-del scans
-        the one-edge ground set, and one Greedy++ round peels all 10^6 + 1
-        vertices in a few seconds. fw-qp is left out because it takes about
-        4 s and prints a 12.9 MB iterate, and verify because it takes about
-        38 s."""
+        the one-edge ground set. One Greedy++ round peels all 10^6 + 1
+        vertices in about 2 s at about 150 MB peak RSS, and one fw-qp step
+        prints its 12.9 MB iterate in about 3 s at about 250 MB. verify is
+        left out: it takes 24 to 30 s, nearly all in its peel_error_bound
+        check, which runs ten full weighted_greedy peels, ten
+        random.choices draws of 10^6 weights and ten exact LMOs."""
+        if out is None:  # fw-qp's first iterate: the greedy vertex puts the one edge on its last vertex
+            out = ('{"iterate":{' + "".join(f'"{v}":0.0,' for v in range(VERTEX_CAP))
+                   + f'"{VERTEX_CAP}":1.0}},"objective":1.0,"iterations":1}}\n')
         path = write_graph(tmp_path, "nearcap.el", f"0 {VERTEX_CAP}\n")
         limit = lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
         proc = subprocess.run(

@@ -20,10 +20,13 @@ from conftest import (
     triangle,
 )
 from densefw import (
+    BaseVector,
     DenseDecomposition,
     MultiGraph,
+    PeelResult,
     SetFunctionOracle,
     certify_lex_optimal,
+    contract,
     decompose_submodular_deletion,
     decompose_supermodular,
     densest_set_bruteforce,
@@ -31,10 +34,13 @@ from densefw import (
     dualize,
     edge_count_fn,
     enumerate_base_vertices,
+    fw_qp,
     graphic_rank_fn,
     lmo,
+    supergreedy_pp,
     verify_base,
     verify_decomposition_equivalence,
+    weighted_supergreedy,
 )
 from densefw.decomp import CONTRACTION, DELETION
 from densefw.errors import (
@@ -107,6 +113,24 @@ class TestDensestSet:
         assert dec.blocks == ((6, 7, 8, 9), (0, 1, 2, 3, 4, 5, 10, 11, 12, 13, 14, 15))
         assert dec.densities == (Fraction(1), Fraction(2))
         assert peak < 2 * 2**20
+
+    def test_empty_ground_set(self):
+        """The two densest-set searches refuse an empty ground set before
+        asking the oracle anything; the LMO, the peel, Frank-Wolfe, the
+        decomposition and the certificates take it."""
+        e = contract(edge_count_fn(three_tier()), frozenset(range(8)))
+        asked = []
+        f = SetFunctionOracle((), SUPERMODULAR, True, True, lambda s: asked.append(s) or e._eval(s))
+        for search in (densest_set_bruteforce, lambda h: supergreedy_pp(h, 3)):
+            for h in (e, f):
+                with pytest.raises(ValueError, match="nonempty ground set"):
+                    search(h)
+        assert asked == []
+        empty = BaseVector((), ())
+        assert weighted_supergreedy(e, ()) == PeelResult((), empty)
+        assert lmo(e, ()) == fw_qp(e, 3)[0] == density_vector(e) == empty
+        assert decompose_supermodular(e).blocks == ()
+        assert verify_base(e, empty) and certify_lex_optimal(e, empty)
 
     def test_misdeclared_oracle_fails_loudly(self):
         rank_as_super = SetFunctionOracle(

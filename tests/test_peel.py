@@ -4,6 +4,7 @@ import heapq
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from conftest import (
     triangle,
 )
 from densefw import (
+    BaseVector,
     MultiGraph,
     SetFunctionOracle,
     contract,
@@ -218,6 +220,26 @@ class TestGreedyPP:
         assert res.best_set == frozenset({n - 2, n - 1})
         assert round_s <= 10 * peel_s
 
+    def test_round_allocates_no_more_than_its_peel(self):
+        """A run reads its densest suffix off the peel's own positions: it
+        builds no vertex-to-position map and no copy of the ground set, so
+        one round peaks within one boxed int per vertex of the lone peel
+        (such a map and a ground copy add about 16 MB)."""
+        n = 10**5 + 1
+        g = MultiGraph(n, ((0, n - 1),))
+        g.degrees, g.adjacency  # cached outside both measurements
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                run()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        excess = peak(lambda: greedy_pp(g, 1)) - peak(lambda: weighted_greedy(g, [0] * n))
+        assert excess < 36 * n
+
     def test_cumulative_loads_identity(self):
         g = tri_pendant()
         w = [0] * g.n
@@ -246,7 +268,7 @@ class TestGreedyPP:
         g = three_tier()
         ref = density_vector(edge_count_fn(g))
         res = greedy_pp(g, 100, ref=ref, stop_dist=0.05)
-        assert res.iterations < 100
+        assert len(res.trace.records) < 100
         assert res.trace.records[-1].dist_ref <= 0.05
 
     def test_iterations_validated(self):
@@ -282,6 +304,19 @@ class TestSupergreedyPP:
         assert res.best_density == Fraction(3, 2)
         assert res.best_set == frozenset({0, 1, 2, 3})
 
+    def test_orders_list_elements_of_a_ground_that_is_not_a_range(self):
+        """The peel a run queries lists positions; the public order, best
+        set and iterate are in the oracle's own elements."""
+        f = contract(edge_count_fn(three_tier()), {0})
+        assert f.ground == (1, 2, 3, 4, 5, 6, 7)
+        r = weighted_supergreedy(f, (3, 0, 1, 0, 2, 0, 0))
+        assert sorted(r.order) == list(f.ground)
+        assert r.order == (7, 6, 4, 5, 2, 3, 1)
+        assert r.dhat == BaseVector(f.ground, (1, 3, 2, 2, 0, 2, 1))
+        res = supergreedy_pp(f, 5)
+        assert (res.best_set, res.best_density) == (frozenset({1, 2, 3}), 2)
+        assert res.x == BaseVector(f.ground, tuple(map(Fraction, ("11/5", "2", "9/5", "7/5", "6/5", "7/5", "1"))))
+
     def test_run_asks_the_oracle_for_each_set_once(self):
         """Repeated rounds are served from the run's own cache, even for an
         oracle that remembers nothing itself."""
@@ -290,7 +325,7 @@ class TestSupergreedyPP:
         f = SetFunctionOracle(
             edges.ground, SUPERMODULAR, True, True, lambda s: asked.append(s) or edges._eval(s))
         res = supergreedy_pp(f, 6)
-        assert res.iterations == 6
+        assert len(res.trace.records) == 6
         assert res.x == greedy_pp(three_tier(), 6).x
         assert len(asked) == len(set(asked))
 

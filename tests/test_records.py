@@ -65,6 +65,7 @@ def test_frozen_record_refuses_assignment(record, field):
     (CheckResult, ("name", True)),
     (Orientation, ()),
     (PeelResult, ((0, 1),)),
+    (GreedyPPResult, (frozenset({0, 1}), 1, None, 1, None)),  # best_set, best_density, x, trace
 ], ids=lambda x: x.__name__ if isinstance(x, type) else str(len(x)))
 def test_wrong_field_count_raises(cls, values):
     with pytest.raises(TypeError, match=f"{cls.__name__} takes {len(cls._fields)} fields, got {len(values)}"):

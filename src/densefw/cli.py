@@ -188,11 +188,10 @@ def _cmd_idealloads(ns: argparse.Namespace, g: MultiGraph) -> dict:
 def _cmd_fw_qp(ns: argparse.Namespace, g: MultiGraph) -> dict:
     from . import fw
 
-    f = setfn.edge_count_fn(g)
-    ref = _ref(ns, f)
     if ns.exact and ns.iters > EXACT_ITERATION_CAP:
         raise ValueError(f"exact mode supports at most {EXACT_ITERATION_CAP} iterations")
-    x, trace = fw.fw_qp(f, ns.iters, schedule=ns.schedule, ref=ref, exact=ns.exact, stop_dist=ns.epsilon)
+    f = setfn.edge_count_fn(g)
+    x, trace = fw.fw_qp(f, ns.iters, schedule=ns.schedule, ref=_ref(ns, f), exact=ns.exact, stop_dist=ns.epsilon)
     return {
         "iterate": _vector(x, _fmt),
         "objective": _fmt(sum(float(v) ** 2 for v in x.values)),

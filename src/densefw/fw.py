@@ -116,7 +116,7 @@ def frank_wolfe(
             x = [float(t) / scale for t in q]
             if not all(map(math.isfinite, x)):
                 raise NumericalError(f"non-finite iterate at iteration {k}")
-            objective = sum(map(operator.mul, x, x))
+            objective = sum(map(operator.mul, x, x), 0.0)
         dist = None
         if refv is not None:
             dist = math.sqrt(sum((v - r) ** 2 for v, r in zip(x, refv)))

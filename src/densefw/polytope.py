@@ -117,63 +117,56 @@ def verify_base(f: SetFunctionOracle, x) -> bool:
 def verify_bases(f: SetFunctionOracle, xs) -> list[bool]:
     """verify_base for each vector of xs, by one subset walk for all of them.
 
-    Vector k's slack at S, s_k(S) = floor(sign d f(S)) - sign d x_k(S), is
-    an int: d clears every denominator of x, and sign is 1 for submodular
-    f (x(S) <= f(S)), -1 for supermodular f. It is < 0 exactly where x_k
-    violates its constraint at S. Each s_k(S) + 2^(w-1) is one w-bit field
-    of a single int, so a walk step moves every slack by two big-int
-    additions, and a field whose top bit clears names a violated set. The
-    field width rests on a bound on every |s_k(S)|, and an assert checks
-    the one part of it the declared kind has to supply.
+    Vector k's slack at S, s_k(S) = c(S) - sign d x_k(S), is an int: d
+    clears every denominator of x, sign is 1 for submodular f (x(S) <=
+    f(S)) and -1 for supermodular f, and c(S) = floor(sign d f(S)). It is
+    < 0 exactly where x_k violates its constraint at S. Only vectors with
+    x_k >= 0 and x_k(V) = f(V) get this far, so |sign d x_k(S)| <= t = d
+    f(V) for every S. Clamping c(S) to [-t-1, t] keeps the sign of every
+    slack and puts it in [-2t-1, 2t], so the fields are sized from the
+    vectors alone and f needs no bound. Each s_k(S) + 2^(w-1) is one w-bit
+    field of a single int, a walk step moves every slack by two big-int
+    additions, and a field whose top bit clears names a violated set.
     """
     scan = walk(f)  # raises above ENUM_CAP before any arithmetic
     qs = [_exact(x) for x in xs]
     if any(len(q) != len(f.ground) for q in qs):
         raise ValueError("vector length mismatch")
-    ground = f.ground_set
-    full = f._eval(ground)
+    full = f._eval(f.ground_set)
     ok = [all(v >= 0 for v in q) and sum(q) == full for q in qs]
     live = [k for k in range(len(qs)) if ok[k]]
     if not live:
         return ok
-    sign = 1 if f.kind == SUBMODULAR else -1
     den = math.lcm(*(v.denominator for k in live for v in qs[k]))
-    # Each element's marginal lies between its marginals at the empty set
-    # and at ground - {e} (decreasing in the set for submodular f,
-    # increasing for supermodular f), so |f(S)| <= bound for every S; with
-    # |x_k(S)| <= sum |x_k| that gives |s_k(S)| <= span.
-    f0 = f._eval(frozenset())
-    bound = abs(f0) + sum(
-        max(abs(f._eval(frozenset([e])) - f0), abs(full - f._eval(ground - {e}))) for e in ground)
-    cap = math.floor(den * bound) + 1  # |floor(sign d f(S))| <= cap
-    rows = [[int(sign * den * v) for v in qs[k]] for k in live]
-    span = cap + max(sum(map(abs, row)) for row in rows)
-    w = span.bit_length() + 1  # 2^(w-1) > span: fields stay in [1, 2^w)
+    scale = den if f.kind == SUBMODULAR else -den  # sign d
+    rows = [[int(scale * v) for v in qs[k]] for k in live]
+    t = int(den * full)
+    lo = -t - 1
+    w = (2 * t + 1).bit_length() + 1  # 2^(w-1) > 2t + 1: fields stay in [1, 2^w)
     ones = sum(1 << w * i for i in range(len(live)))
     step = {1 << j: sum(row[j] << w * i for i, row in enumerate(rows)) for j in range(len(f.ground))}
-    c = prev_c = math.floor(sign * den * f0)
-    packed = (c + (1 << w - 1)) * ones
-    unviolated = ones << w - 1  # the top bits of the fields still in the race
-    next(scan)  # the empty set comes first and carries no constraint
+    _, _, f0 = next(scan)  # the empty set comes first and carries no constraint
+    prev_c = min(max(math.floor(scale * f0), lo), t)
+    packed = (prev_c + (1 << w - 1)) * ones
+    alive = ones << w - 1  # the top bits of the fields not yet violated
     prev = 0
     for mask, _, fs in scan:
         bit = mask ^ prev
         prev = mask
         packed -= step[bit] if mask & bit else -step[bit]
-        c = math.floor(sign * den * fs)
-        if c != prev_c:
-            assert -cap <= c <= cap, "f(S) leaves the range its declared kind allows"
+        c = math.floor(scale * fs)
+        if c != prev_c:  # prev_c is in [lo, t], so an equal c needs no clamp
+            if c > t:
+                c = t
+            elif c < lo:
+                c = lo
             packed += (c - prev_c) * ones
             prev_c = c
-        if packed & unviolated != unviolated:
-            violated = unviolated & ~packed
-            unviolated ^= violated
-            while violated:
-                top = violated.bit_length() - 1
-                violated ^= 1 << top
-                ok[live[top // w]] = False
-            if not unviolated:
-                break
+        alive &= packed
+        if not alive:
+            break
+    for i, k in enumerate(live):
+        ok[k] = (alive >> w * i + w - 1) & 1 == 1
     return ok
 
 

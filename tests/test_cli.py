@@ -331,6 +331,19 @@ class TestExitCodes:
             assert code == 3
             assert (out, err) == ("", "error: exact mode supports at most 20 iterations\n")
 
+    def test_exact_iteration_cap_is_checked_before_the_reference(self, capsys, data_dir, monkeypatch, tmp_path):
+        """The refusal comes before --trace's exact reference is built."""
+        from densefw import decomp
+
+        def refuse(f):
+            raise AssertionError("density_vector built before the cap check")
+
+        monkeypatch.setattr(decomp, "density_vector", refuse)
+        code, out, err = invoke(capsys, [
+            "fw-qp", "--exact", "--iters", "21", "--trace", str(tmp_path / "t.csv"), str(data_dir / "k4.el")])
+        assert (code, out, err) == (3, "", "error: exact mode supports at most 20 iterations\n")
+        assert not (tmp_path / "t.csv").exists()
+
     def test_usage_errors(self, capsys, data_dir):
         assert invoke(capsys, ["no-such-command", "x.el"])[0] == 64
         assert invoke(capsys, ["density"])[0] == 64

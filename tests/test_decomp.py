@@ -116,8 +116,9 @@ class TestDensestSet:
 
     def test_empty_ground_set(self):
         """The two densest-set searches refuse an empty ground set before
-        asking the oracle anything; the LMO, the peel, Frank-Wolfe, the
-        decomposition and the certificates take it."""
+        asking the oracle anything; the LMO, the peel, Frank-Wolfe (whose
+        objective stays a float), the decomposition and the certificates
+        take it."""
         e = contract(edge_count_fn(three_tier()), frozenset(range(8)))
         asked = []
         f = SetFunctionOracle((), SUPERMODULAR, True, True, lambda s: asked.append(s) or e._eval(s))
@@ -128,7 +129,11 @@ class TestDensestSet:
         assert asked == []
         empty = BaseVector((), ())
         assert weighted_supergreedy(e, ()) == PeelResult((), empty)
-        assert lmo(e, ()) == fw_qp(e, 3)[0] == density_vector(e) == empty
+        assert lmo(e, ()) == density_vector(e) == empty
+        for exact in (False, True):
+            x, trace = fw_qp(e, 3, exact=exact)
+            assert x == empty
+            assert [(type(r.objective), r.objective) for r in trace.records] == [(float, 0.0)] * 3
         assert decompose_supermodular(e).blocks == ()
         assert verify_base(e, empty) and certify_lex_optimal(e, empty)
 

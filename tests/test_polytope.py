@@ -31,7 +31,7 @@ from densefw import (
 from densefw.errors import GroundSetTooLargeError, OracleFlagError
 from densefw.polytope import VERTEX_ENUM_CAP, _chain
 from densefw.graph import parse_edge_list
-from densefw.setfn import SUBMODULAR, SetFunctionOracle
+from densefw.setfn import SUBMODULAR, SUPERMODULAR, SetFunctionOracle
 from test_decomp import ref_verify_base
 from test_setfn import tied_weights
 
@@ -247,14 +247,94 @@ class TestVerifyBases:
                 total += len(got)
         assert total >= 300 and 0.2 < based / total < 0.8
 
-    def test_slack_outside_the_field_bound_trips_the_assert(self):
-        """The field width is computed from the vectors and from the range
-        the declared kind allows f: here f jumps to 1000 on the pairs while
-        its values at the empty set, the singletons, the triples and the
-        ground set bound it by 0, so the fields would overflow."""
+    def test_values_beyond_the_vectors_reach_get_verdicts(self):
+        """f jumps to 1000 on the pairs, far above anything the zero vectors
+        reach there; the clamp sizes the fields without bounding f."""
         f = SetFunctionOracle((0, 1, 2, 3), SUBMODULAR, True, True, lambda s: 1000 if len(s) == 2 else 0)
-        with pytest.raises(AssertionError):
-            verify_bases(f, [(0, 0, 0, 0)] * 3)
+        xs = [(0, 0, 0, 0)] * 3
+        assert verify_bases(f, xs) == [ref_verify_base(f, x) for x in xs] == [True] * 3
+
+    def test_one_huge_value_is_clamped(self):
+        """A supermodular-declared f: 1 at {0}, f(V) = 2 and one huge value at
+        {0, 1}, neither a singleton nor a complement of one; 0 elsewhere. At
+        10^30 the clamp at -t-1 leaves a violation for every vector, and
+        (1, 1, 0, 0) reaches t there, so a clamp at -t would miss its one.
+        At -10^30 the clamp at t leaves the verdicts the rest of f gives."""
+        xs = [(1, 1, 0, 0), (0, 1, 0, 1), (0, 0, 2, 0)]
+        for huge, want in ((10**30, [False] * 3), (-10**30, [True, False, False])):
+            table = {frozenset([0]): 1, frozenset([0, 1]): huge, frozenset(range(4)): 2}
+            f = SetFunctionOracle((0, 1, 2, 3), SUPERMODULAR, True, True, lambda s, table=table: table.get(s, 0))
+            assert verify_bases(f, xs) == [ref_verify_base(f, x) for x in xs] == want
+
+    def test_arbitrary_oracles_match_the_reference(self):
+        """Tables of Fractions up to 10^6 in size, either kind: half of them
+        built so an anchor vector is a base, some constraints tight, the rest
+        arbitrary. Vectors of Fractions and of floats sum to f(V)."""
+        rng = random.Random(71)
+        based = total = 0
+        for i in range(300):
+            n = rng.randint(1, 5)
+            ground = tuple(rng.sample(range(9), n))
+            kind = (SUBMODULAR, SUPERMODULAR)[i % 2]
+            sign = 1 if kind == SUBMODULAR else -1
+            full = Fraction(rng.randint(0, 5 * 10**5), rng.choice([1, 2, 4]))
+            anchor = split_dyadic(rng, full, n)
+            table = {}
+            for mask in range(1 << n):
+                s = frozenset(e for j, e in enumerate(ground) if mask >> j & 1)
+                if i % 4 < 2:
+                    slack = 0 if rng.random() < 0.3 else Fraction(rng.randint(0, 5 * 10**5), rng.randint(1, 7))
+                    table[s] = sum(v for e, v in zip(ground, anchor) if e in s) + sign * slack
+                else:
+                    table[s] = Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 7))
+            table[frozenset(ground)] = full
+            f = SetFunctionOracle(ground, kind, False, False, table.__getitem__)
+            nudged = list(anchor)
+            a, b = rng.randrange(n), rng.randrange(n)
+            d = min(nudged[a], Fraction(rng.randint(1, 9), rng.randint(1, 5)))
+            nudged[a] -= d
+            nudged[b] += d
+            xs = [anchor, [float(v) for v in anchor], nudged, [float(v) for v in split_dyadic(rng, full, n)]]
+            got = verify_bases(f, xs)
+            assert got == [ref_verify_base(f, x) for x in xs]
+            based += sum(got)
+            total += len(got)
+        assert based >= 0.05 * total
+
+    def test_hooked_oracles_are_asked_two_sets(self):
+        """Only f(V) and the walk's f(empty set) are evaluated; the hooks do
+        the rest."""
+        fe, fr = edge_count_fn(three_tier()), graphic_rank_fn(three_tier())
+        for f in (fe, fr, dualize(fr)):
+            cf, asked = counted(f)
+            assert verify_base(cf, lmo(f, range(len(f.ground))))
+            assert asked == [f.ground_set, frozenset()]
+
+    def test_all_violated_vectors_stop_the_walk(self):
+        """Every vector is violated at {0}, the walk's first nonempty set, so
+        the scan of 2^12 subsets ends after f(V), f(empty set) and f({0})."""
+        f, asked = counted(SetFunctionOracle(range(12), SUBMODULAR, True, True, len))
+        xs = [(12,) + (0,) * 11, (2, 10) + (0,) * 10, (3,) * 4 + (0,) * 8]
+        assert verify_bases(f, xs) == [False] * 3
+        assert len(asked) == 3
+
+
+def split_dyadic(rng, total, n):
+    """n nonnegative multiples of 1/16 summing to total, a multiple of 1/4."""
+    cuts = sorted(Fraction(rng.randint(0, int(16 * total)), 16) for _ in range(n - 1))
+    points = [0, *cuts, total]
+    return [b - a for a, b in zip(points, points[1:])]
+
+
+def counted(f):
+    """f with the same hooks, and the list of sets its _eval is asked for."""
+    asked = []
+
+    def ev(s):
+        asked.append(s)
+        return f._eval(s)
+
+    return SetFunctionOracle(f.ground, f.kind, f.monotone, f.normalized, ev, f._gains, f._chain), asked
 
 
 class TestOrientation:

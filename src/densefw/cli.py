@@ -58,36 +58,44 @@ def _build_parser() -> _Parser:
         sp.add_argument("--trace", default=None, help="write a per-iteration CSV trace here")
 
     sp = sub.add_parser("density", help="densest subgraph by exhaustive search")
+    sp.set_defaults(handler=_cmd_density)
     sp.add_argument("path")
     sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("decompose", help="dense decomposition")
+    sp.set_defaults(handler=_cmd_decompose)
     sp.add_argument("path")
     sp.add_argument("--variant", choices=["sup", "sub-del"], default="sup")
     sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("greedypp", help="iterated degree peeling")
+    sp.set_defaults(handler=_cmd_greedypp)
     common(sp)
 
     sp = sub.add_parser("supergreedypp", help="iterated supermodular peeling")
+    sp.set_defaults(handler=_cmd_supergreedypp)
     common(sp)
     sp.add_argument("--fn", choices=["edges", "rank-dual"], default="edges")
 
     sp = sub.add_parser("treepack", help="greedy spanning tree packing")
+    sp.set_defaults(handler=_cmd_treepack)
     common(sp, iters_default=10000)
     sp.add_argument("--mode", choices=["greedy", "fw"], default="greedy")
     sp.add_argument("--schedule", choices=["avg", "standard"], default="avg")
 
     sp = sub.add_parser("idealloads", help="exact ideal tree-packing loads")
+    sp.set_defaults(handler=_cmd_idealloads)
     sp.add_argument("path")
     sp.add_argument("--out", default=None)
 
     sp = sub.add_parser("fw-qp", help="Frank-Wolfe on the edge-count quadratic program")
+    sp.set_defaults(handler=_cmd_fw_qp)
     common(sp, iters_default=1000)
     sp.add_argument("--schedule", choices=["avg", "standard"], default="avg")
     sp.add_argument("--exact", action="store_true", help="exact rational iterates (at most 20 iterations)")
 
     sp = sub.add_parser("verify", help="run the invariant suite on the instance")
+    sp.set_defaults(handler=_cmd_verify)
     sp.add_argument("path")
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None)
@@ -206,18 +214,6 @@ def _cmd_verify(ns: argparse.Namespace, g: MultiGraph) -> dict:
     return {"ok": all(r.ok for r in results), "checks": [{"name": r.name, "ok": r.ok} for r in results]}
 
 
-_COMMANDS = {
-    "density": _cmd_density,
-    "decompose": _cmd_decompose,
-    "greedypp": _cmd_greedypp,
-    "supergreedypp": _cmd_supergreedypp,
-    "treepack": _cmd_treepack,
-    "idealloads": _cmd_idealloads,
-    "fw-qp": _cmd_fw_qp,
-    "verify": _cmd_verify,
-}
-
-
 def run(argv: list[str] | None = None) -> int:
     """Parse argv, execute, return the exit code."""
     parser = _build_parser()
@@ -232,7 +228,7 @@ def run(argv: list[str] | None = None) -> int:
         print("error: --epsilon must be finite and > 0", file=sys.stderr)
         return EXIT_INPUT
     try:
-        body = _COMMANDS[ns.command](ns, _load_graph(ns.path))
+        body = ns.handler(ns, _load_graph(ns.path))
         text = json.dumps(body, separators=(",", ":")) + "\n"
         if ns.out:
             with open(ns.out, "w", encoding="utf-8") as fh:

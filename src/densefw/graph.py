@@ -61,15 +61,19 @@ class MultiGraph(Record):
 def parse_edge_list(text: str) -> MultiGraph:
     """Parse whitespace-separated "u v" lines into a MultiGraph.
 
-    Lines starting with '#' and blank lines are skipped. Vertex ids are
-    ASCII digit strings with values up to VERTEX_CAP; the vertex set is
-    0..max-id, so ids that never appear still exist as isolated vertices.
-    Errors carry the offending 1-based line number.
+    Lines end only at '\\n', '\\r\\n' or a lone '\\r'; form feed, U+2028 and
+    other separators are blanks inside a line. Blank lines and lines whose
+    first non-blank character is '#' are skipped. Vertex ids are ASCII
+    digit strings, leading zeros allowed, up to VERTEX_CAP; the vertex set
+    is 0..max-id, so unseen ids are isolated vertices. Errors carry the
+    offending 1-based line number.
     """
     edges: list[tuple[int, int]] = []
     max_id = -1
     ascii_text = text.isascii()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    if "\r" in text:  # universal newlines, as open() reads a file
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -81,10 +85,9 @@ def parse_edge_list(text: str) -> MultiGraph:
         if not (a.isdigit() and b.isdigit() and (ascii_text or line.isascii())):
             signed = line.isascii() and a.removeprefix("-").isdigit() and b.removeprefix("-").isdigit()
             raise GraphParseError(f"{'negative' if signed else 'non-integer'} vertex id in {line!r}", lineno)
-        try:
-            u, v = int(a), int(b)
-        except ValueError:  # digit strings longer than int() converts
-            raise GraphParseError(f"non-integer vertex id in {line!r}", lineno) from None
+        if len(line) >= 640:  # int() may refuse 640 digits, never fewer (sys.int_info.str_digits_check_threshold)
+            a, b = (s.lstrip("0")[: len(str(VERTEX_CAP)) + 1] or "0" for s in (a, b))
+        u, v = int(a), int(b)
         if u > VERTEX_CAP or v > VERTEX_CAP:
             raise GraphParseError(f"vertex id above {VERTEX_CAP} in {line!r}", lineno)
         if u == v:

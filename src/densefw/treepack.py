@@ -46,13 +46,13 @@ def ideal_loads(g: MultiGraph) -> BaseVector:
     return density_vector(graphic_rank_fn(g))
 
 
-def _min_partition(g: MultiGraph, edge_ids) -> tuple[Fraction, tuple, list[tuple[int, int]]]:
+def _min_partition(g: MultiGraph, edge_ids) -> tuple[Fraction, list[tuple[int, int]]]:
     """Strength tau of the subgraph formed by `edge_ids`: the minimum of
     crossing(P) / (|P| - 1) over the partitions P, with >= 2 parts, of the
-    vertices those edges touch. Returns tau, the finest minimizing partition
-    (of local vertex indices) and each edge's pair of block indices under
-    it. That partition is unique (refining two distinct minimizers would
-    beat both), which is asserted.
+    vertices those edges touch. Returns tau and each edge's pair of block
+    indices under the finest minimizing partition; every vertex touches an
+    edge, so the pairs pin that partition. It is unique (refining two
+    distinct minimizers would beat both), which is asserted.
 
     One restricted-growth pass: vertex v joins one of the blocks opened so
     far or opens the next, and the crossing count grows by v's edges to
@@ -92,8 +92,7 @@ def _min_partition(g: MultiGraph, edge_ids) -> tuple[Fraction, tuple, list[tuple
     place(1, 1, 0)  # vertex 0 opens block 0
     assert den
     assert ties_at_best == 1, "finest minimizing partition should be unique"
-    parts = tuple(tuple(v for v in range(n) if best[v] == b) for b in range(den + 1))
-    return Fraction(num, den), parts, [(best[u], best[v]) for u, v in ends]
+    return Fraction(num, den), [(best[u], best[v]) for u, v in ends]
 
 
 def tnw_strength(g: MultiGraph) -> Fraction:
@@ -119,7 +118,7 @@ def _tnw(g: MultiGraph) -> tuple[Fraction | None, BaseVector]:
     strength, parts = None, [list(range(g.m))] if g.m else []
     while parts:
         edge_ids = parts.pop()
-        tau, _, ends = _min_partition(g, edge_ids)
+        tau, ends = _min_partition(g, edge_ids)
         strength = strength or tau  # tau > 0: each part is connected
         groups: dict[int, list[int]] = {}
         for i, (pu, pv) in zip(edge_ids, ends):

@@ -8,6 +8,7 @@ reproduce; hypothesis strategies cover the structured property tests.
 from __future__ import annotations
 
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -159,3 +160,14 @@ def multigraphs(draw, n_max: int = 6, m_max: int = 9):
 @pytest.fixture
 def data_dir() -> Path:
     return DATA_DIR
+
+
+@pytest.fixture(params=["default_max_str_digits", "str_digits_check_threshold", None],
+                ids=["default-digit-limit", "lowest-digit-limit", "no-digit-limit"])
+def int_digit_limit(request):
+    """Run under Python's default limit on int() digits, under the lowest
+    limit it allows, and with the limit off (PYTHONINTMAXSTRDIGITS=0)."""
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(getattr(sys.int_info, request.param) if request.param else 0)
+    yield
+    sys.set_int_max_str_digits(before)

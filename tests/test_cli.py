@@ -225,6 +225,24 @@ class TestExitCodes:
         assert result == invoke(capsys, ["density", plain])
         assert result[0] == 0
 
+    @pytest.mark.parametrize("data, code, out, err", [
+        (b"0 1\x0c\nfoo\n", 2, "", "error: line 2: expected two vertex ids, got 'foo'\n"),
+        (b"0 1\x1c1 2\n", 2, "", "error: line 1: expected two vertex ids, got '0 1\\x1c1 2'\n"),
+        (b"0 " + b"9" * 5000 + b"\n", 2, "", "error: line 1: vertex id above 1000000 in '0 999"),
+        (b"0 100000000\n", 2, "", "error: line 1: vertex id above 1000000 in '0 100000000'\n"),
+        (b"0 " + b"0" * 5000 + b"1\n", 0, '{"set":[0,1],"density":"1/2"}\n', ""),
+        (b"0 1\r\n1 2\r\n2 0\r\n", 0, '{"set":[0,1,2],"density":"1"}\n', ""),
+        (b"0 1\r1 2\r2 0\r", 0, '{"set":[0,1,2],"density":"1"}\n', ""),
+    ], ids=["form-feed", "file-separator", "5000-nines", "10^8", "leading-zeros", "crlf", "lone-cr"])
+    def test_line_and_id_rules(self, capsys, tmp_path, int_digit_limit, data, code, out, err):
+        """Lines end only at universal newlines, and ids compare with
+        graph.VERTEX_CAP by value, whatever int()'s digit limit."""
+        path = tmp_path / "rules.el"
+        path.write_bytes(data)
+        got_code, got_out, got_err = invoke(capsys, ["density", str(path)])
+        assert (got_code, got_out) == (code, out)
+        assert got_err.startswith(err) and got_err.count("\n") == (1 if code else 0)
+
     def test_self_loop(self, capsys, tmp_path):
         path = write_graph(tmp_path, "loop.el", "0 0\n")
         assert invoke(capsys, ["density", path])[0] == 2

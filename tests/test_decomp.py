@@ -192,6 +192,20 @@ class TestContractionDecomposition:
         assert dec.densities == (Fraction(5, 2), Fraction(7, 4), Fraction(1))
         assert len(calls) <= 4 * len(dec.blocks)
 
+    def test_rising_block_density_fails_loudly(self):
+        """A `_gains` hook that takes 4 off vertex 0's gains only on an
+        empty base hides the K4 core from the first walk: block 1 comes out
+        as {1,...,6} at density 1, then the true gains give {0} density 4."""
+        f = edge_count_fn(three_tier())
+
+        def gains(elems, base):
+            gain = f._gains(elems, base)
+            return gain if base else (lambda mask, j: gain(mask, j) - 4 * (elems[j] == 0))
+
+        skewed = SetFunctionOracle(f.ground, f.kind, True, True, f._eval, gains)
+        with pytest.raises(OracleFlagError, match="^block densities failed to decrease strictly$"):
+            decompose_supermodular(skewed)
+
 
 class TestDeletionDecomposition:
     def test_triangle_rank_single_block(self):
@@ -240,6 +254,31 @@ class TestDeletionDecomposition:
     def test_size_cap(self):
         with pytest.raises(GroundSetTooLargeError):
             decompose_submodular_deletion(graphic_rank_fn(big_path_graph(22)))
+
+    def test_minimizers_not_closed_under_intersection(self):
+        """|S|^2 declared submodular: the least ratio 1/7 is reached by all
+        four 3-sets, whose intersection is empty, at ratio 1/4."""
+        squared = SetFunctionOracle(range(4), SUBMODULAR, True, True, lambda s: len(s) ** 2)
+        with pytest.raises(OracleFlagError, match="^minimizers not closed under intersection"):
+            decompose_submodular_deletion(squared)
+
+    def test_repeated_block_ratio_fails_loudly(self):
+        """A triangle {0,1,2} with pendant edges 3 and 4. During the first
+        block's m + 1 + 2^m evaluations (singletons, the whole set, the
+        hook-less walk) the rank reads one too high on {0,1,2} and
+        {0,1,2,4}, so block 1 is edge 4 alone at ratio 1; the true values
+        after it give block 2, edge 3, the same ratio 1."""
+        g = MultiGraph(5, ((0, 1), (1, 2), (2, 0), (2, 3), (0, 4)))
+        rank = graphic_rank_fn(g)
+        calls = [0]
+
+        def ev(s):
+            calls[0] += 1
+            bumped = calls[0] <= g.m + 1 + 2**g.m and s in ({0, 1, 2}, {0, 1, 2, 4})
+            return rank._eval(s) + bumped
+
+        with pytest.raises(OracleFlagError, match="^block ratios failed to increase strictly$"):
+            decompose_submodular_deletion(SetFunctionOracle(rank.ground, SUBMODULAR, True, True, ev))
 
 
 def vector_cases():

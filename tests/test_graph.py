@@ -100,6 +100,44 @@ class TestParseEdgeList:
             parse_edge_list("0 1\n2 2")
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("sep", ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_only_universal_newlines_end_a_line(self, sep):
+        """str.splitlines() also breaks at these; wc -l and the CLI's
+        file reader do not, so here they are blanks inside a line."""
+        assert parse_edge_list(f"0 1{sep}\n{sep}1 2{sep}\n").edges == ((0, 1), (1, 2))
+        with pytest.raises(GraphParseError, match="^line 2: expected two vertex ids, got 'foo'$"):
+            parse_edge_list(f"0 1{sep}\nfoo\n")
+        with pytest.raises(GraphParseError, match="^line 1: expected two vertex ids") as exc:
+            parse_edge_list(f"0 1{sep}1 2\n")
+        assert exc.value.line == 1
+
+    def test_crlf_and_lone_cr_end_lines(self):
+        lf = parse_edge_list("0 1\n1 2\n\n2 0\n")
+        assert parse_edge_list("0 1\r\n1 2\r\r2 0\r") == parse_edge_list("0 1\r1 2\r\n\r\n2 0") == lf
+        with pytest.raises(GraphParseError, match="^line 3: "):
+            parse_edge_list("0 1\r\n\rfoo\r\n")
+
+    @pytest.mark.parametrize("text, edges", [
+        ("0 " + "0" * 5000 + "1", ((0, 1),)),
+        ("0" * 5000 + " 1", ((0, 1),)),
+        ("0 " + "0" * 636 + "1", ((0, 1),)),  # 639 characters
+        ("0 " + "0" * 637 + "1", ((0, 1),)),  # 640 characters
+        ("1 " + "0" * 5000 + "1000000", ((1, 10**6),)),
+    ], ids=["5001-digit-one", "5000-zero-first-id", "639-chars", "640-chars", "padded-cap"])
+    def test_leading_zeros_under_any_digit_limit(self, int_digit_limit, text, edges):
+        assert parse_edge_list(text).edges == edges
+
+    @pytest.mark.parametrize(
+        "text",
+        ["0 " + "9" * 5000, "0 100000000", "0 " + "0" * 5000 + "1000001", "0 " + "0" * 5000 + "10000000",
+         "9" * 640 + " 0"],
+        ids=["5000-nines", "10^8", "padded-cap-plus-one", "padded-10^7", "640-nines-first-id"],
+    )
+    def test_large_ids_are_above_the_cap_under_any_digit_limit(self, int_digit_limit, text):
+        """Ids compare with VERTEX_CAP by value, whatever int() would refuse."""
+        with pytest.raises(GraphParseError, match="^line 1: vertex id above 1000000 in "):
+            parse_edge_list(text)
+
 
 class TestDegree:
     def test_triangle(self):

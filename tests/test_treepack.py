@@ -138,8 +138,8 @@ def fraction_min_partition(g, edge_ids):
     """Reference for _min_partition, sharing no code with it: each partition
     from the recursive enumerator, relabelled and rescanned edge by edge,
     tallied by (crossing, parts); the least (Fraction(crossing, parts - 1),
-    -parts) wins. Returns tau, the finest minimizing partition, each edge's
-    pair of blocks, and how many partitions reach tau."""
+    -parts) wins. Returns tau, each edge's pair of blocks under the finest
+    minimizing partition, and how many partitions reach tau."""
     verts = sorted({v for i in edge_ids for v in g.edges[i]})
     local = {v: i for i, v in enumerate(verts)}
     ends = [(local[g.edges[i][0]], local[g.edges[i][1]]) for i in edge_ids]
@@ -159,7 +159,7 @@ def fraction_min_partition(g, edge_ids):
     tau = Fraction(best[0], best[1] - 1)
     block_of = {v: b for b, part in enumerate(first[best]) for v in part}
     reach = sum(c for (x, p), c in count.items() if Fraction(x, p - 1) == tau)
-    return tau, first[best], [(block_of[u], block_of[v]) for u, v in ends], reach
+    return tau, [(block_of[u], block_of[v]) for u, v in ends], reach
 
 
 class TestPartitionOracle:
@@ -193,8 +193,8 @@ class TestPartitionOracle:
         for i in range(220):
             g = random_connected_graph(rng, n_max=8, extra_max=5)
             ids = range(g.m) if i % 2 else sorted(rng.sample(range(g.m), rng.randint(1, g.m)))
-            tau, parts, ends, reach = fraction_min_partition(g, ids)
-            assert _min_partition(g, ids) == (tau, parts, ends)
+            tau, ends, reach = fraction_min_partition(g, ids)
+            assert _min_partition(g, ids) == (tau, ends)
             tied += reach > 1
         assert tied >= 50  # several partitions share tau, so the tie rule decides
         for n, count in ((9, 3), (PARTITION_CAP, 2)):  # at and below the cap, on every edge
@@ -202,8 +202,8 @@ class TestPartitionOracle:
                 g = random_connected_graph(rng, n_max=n, extra_max=8)
                 while g.n != n:
                     g = random_connected_graph(rng, n_max=n, extra_max=8)
-                tau, parts, ends, _ = fraction_min_partition(g, range(g.m))
-                assert _min_partition(g, range(g.m)) == (tau, parts, ends)
+                tau, ends, _ = fraction_min_partition(g, range(g.m))
+                assert _min_partition(g, range(g.m)) == (tau, ends)
 
 
 class TestGreedyPacking:

@@ -9,12 +9,25 @@ breaks toward the smaller vertex or edge index so that runs are repeatable.
 
 from __future__ import annotations
 
+import re
 from collections.abc import Iterable
 from functools import cached_property
+from operator import eq, index
 
 from .errors import GraphParseError, Record
 
 VERTEX_CAP = 10**6  # largest vertex id parse_edge_list accepts
+
+_EDGE = r"[0-9]{1,7}[ \t]+[0-9]{1,7}[ \t]*"  # two ids of at most 7 ASCII digits
+# A line break followed by a line that is not plain: not an edge, a blank
+# line or a comment, blanks being spaces and tabs. The three forms differ at
+# the line's first character or at its first character that is not a blank
+# (a digit; '#' or the line end), so a line matches at most one of them, in
+# one way, and a search over a whole text takes time linear in its length
+# and no memory that grows with it (one match of every line would keep
+# backtracking state for each line: 20 MB for 50000 lines).
+_NOT_PLAIN = re.compile(rf"\n(?!(?:{_EDGE}|[ \t]*(?:#[^\n]*)?|[ \t]+{_EDGE})(?:\n|\Z))")
+_COMMENT = re.compile(r"#[^\n]*")  # in a plain text, only comments hold '#'
 
 
 class MultiGraph(Record):
@@ -24,15 +37,26 @@ class MultiGraph(Record):
     edges: tuple[tuple[int, int], ...]
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
+        # index() takes ints, bools and numpy ints, and refuses floats and
+        # strings where int() would truncate or parse them
+        n = index(n)
         if n < 1:
             raise ValueError("graph needs at least one vertex")
-        edges = tuple((int(u), int(v)) for u, v in edges)
+        edges = tuple((index(u), index(v)) for u, v in edges)
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u} is not allowed")
         Record.__init__(self, n, edges)
+
+    @classmethod
+    def _checked(cls, n: int, edges: tuple[tuple[int, int], ...]) -> MultiGraph:
+        """The graph of int n and a tuple of int pairs that the caller has
+        already checked as __init__ would: the parser's, once per edge."""
+        g = cls.__new__(cls)
+        Record.__init__(g, n, edges)
+        return g
 
     @property
     def m(self) -> int:
@@ -67,12 +91,43 @@ def parse_edge_list(text: str) -> MultiGraph:
     digit strings, leading zeros allowed, up to VERTEX_CAP; the vertex set
     is 0..max-id, so unseen ids are isolated vertices. Errors carry the
     offending 1-based line number.
+
+    A plain text (spaces and tabs for blanks, ids of at most 7 digits, no
+    bad line) is read in bulk; any other text, and every error, is the
+    line loop's. Both give the same graph or the same error.
     """
+    if "\r" in text:  # universal newlines, as open() reads a file
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return _parse_plain(text) or _parse_lines(text)
+
+
+def _parse_plain(text: str) -> MultiGraph | None:
+    """The graph of a plain text, its ids converted and checked in C-level
+    passes over one flat list; None when the text is not plain or fails a
+    check, so that the line loop can name the line."""
+    if _NOT_PLAIN.search("\n" + text):
+        return None
+    if "#" in text:
+        text = _COMMENT.sub("", text)
+    ids: list[int] = []
+    start = 0
+    while start < len(text):  # by slices of about 64 KiB, so that few id strings live at once
+        end = text.find("\n", start + 65536) + 1 or len(text)
+        ids += map(int, text[start:end].split())
+        start = end
+    top = max(ids, default=-1)
+    pairs = iter(ids)
+    if not 0 <= top <= VERTEX_CAP or any(map(eq, pairs, pairs)):  # no edge, an id above the cap, a self-loop
+        return None
+    pairs = iter(ids)
+    return MultiGraph._checked(top + 1, tuple(zip(pairs, pairs)))
+
+
+def _parse_lines(text: str) -> MultiGraph:
+    """parse_edge_list one line at a time, on text whose lines end at '\\n'."""
     edges: list[tuple[int, int]] = []
     max_id = -1
     ascii_text = text.isascii()
-    if "\r" in text:  # universal newlines, as open() reads a file
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -96,7 +151,7 @@ def parse_edge_list(text: str) -> MultiGraph:
         max_id = max(max_id, u, v)
     if not edges:
         raise GraphParseError("empty graph: no edges found")
-    return MultiGraph(max_id + 1, tuple(edges))
+    return MultiGraph._checked(max_id + 1, tuple(edges))
 
 
 def components(g: MultiGraph, edge_subset: Iterable[int]) -> int:

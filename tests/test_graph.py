@@ -2,12 +2,14 @@
 that the graphic rank's greedy LMO marks."""
 
 import random
+import time
 import tracemalloc
 from collections import deque
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     kruskal_by_key,
@@ -20,6 +22,7 @@ from conftest import (
     triangle,
 )
 from densefw import MultiGraph, components, graphic_rank_fn, lmo, parse_edge_list
+from densefw import graph
 from densefw.errors import GraphParseError
 from densefw.graph import is_connected
 
@@ -45,6 +48,26 @@ class TestMultiGraph:
 
     def test_edges_allow_zero(self):
         assert MultiGraph(1, ()).m == 0
+
+    @pytest.mark.parametrize("n, edges", [
+        (3, [(0.9, 1.2)]),
+        (3, [(0, 1.0)]),
+        (3, [("1", "2")]),
+        (3, [(0, Fraction(1))]),
+        (2.5, [(0, 1)]),
+        ("3", [(0, 1)]),
+    ], ids=["float-ids", "integral-float-id", "str-ids", "fraction-id", "float-n", "str-n"])
+    def test_non_integers_refused_at_construction(self, n, edges):
+        """int() would truncate 0.9 to vertex 0 and parse "1"; a float n
+        used to fail only later, in degrees."""
+        with pytest.raises(TypeError):
+            MultiGraph(n, edges)
+
+    def test_integer_types_read_as_ints(self):
+        np = pytest.importorskip("numpy")
+        g = MultiGraph(np.int64(3), [(np.int32(0), np.uint8(2)), (True, np.intp(2))])
+        assert g == MultiGraph(3, ((0, 2), (1, 2)))
+        assert {type(x) for x in (g.n, *(x for e in g.edges for x in e))} == {int}
 
 
 class TestParseEdgeList:
@@ -137,6 +160,110 @@ class TestParseEdgeList:
         """Ids compare with VERTEX_CAP by value, whatever int() would refuse."""
         with pytest.raises(GraphParseError, match="^line 1: vertex id above 1000000 in "):
             parse_edge_list(text)
+
+
+# Odd atoms for the differential test. Each sends a text to the line loop,
+# or is a line end that parse_edge_list folds before either path.
+ODD_IDS = ["+1", "1_0", "\u0663", "00000001", "1000001", "9999999", "0" * 699 + "5", "9" * 700, "-1", "x"]
+ODD_BLANKS = ["\x0c", "\xa0", " \x0c ", "\r\n", "\r"]
+ids = st.integers(0, 60).map(str) | st.sampled_from(["00", "0000007", "1000000"])
+blanks = st.sampled_from([" ", "\t", " \t", "   "])
+
+
+def edge_lines(first, blank, second):
+    ends = st.sampled_from(["", " ", "\t "])
+    return st.builds("{}{}{}{}{}".format, ends, first, blank, second, ends)
+
+
+plain_lines = (edge_lines(ids, blanks, ids).filter(lambda line: len(set(map(int, line.split()))) == 2)
+               | st.sampled_from(["", " ", "\t\t", "#", "# 1 2 3", "  #\tx \x0c\xa0\u0663 #"]))
+odd_ids, odd_blanks = st.sampled_from(ODD_IDS), st.sampled_from(ODD_BLANKS)
+odd_lines = st.one_of(  # a plain line with one odd part
+    edge_lines(odd_ids, blanks, ids), edge_lines(ids, odd_blanks, ids), edge_lines(ids, blanks, odd_ids),
+    st.sampled_from(["7 7", "1 2 3", "0 1 # edge"]))
+texts = st.builds(str.__add__, st.lists(st.one_of(*[plain_lines] * 4, odd_lines), max_size=8).map("\n".join),
+                  st.sampled_from(["", "\n"]))
+
+
+def outcome(parse, text):
+    """The graph parse gives, or the message and line of its GraphParseError."""
+    try:
+        return parse(text)
+    except GraphParseError as e:
+        return str(e), e.line
+
+
+def fold(text: str) -> str:
+    """Universal newlines, as parse_edge_list folds them before either path."""
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+PLAIN_LINES = "# header n=10001\n" + "".join(f"{i} {i + 1}\n" for i in range(10**4))
+
+
+class TestBulkPath:
+    """A plain text is read in bulk, everything else by the line loop; both
+    must give the same graph or the same error."""
+
+    @settings(deadline=None, max_examples=400)
+    @given(texts)
+    def test_bulk_path_agrees_with_the_line_loop(self, text):
+        lines = outcome(graph._parse_lines, fold(text))
+        assert outcome(parse_edge_list, text) == lines
+        bulk = graph._parse_plain(fold(text))
+        assert bulk is None or bulk == lines
+
+    @pytest.mark.parametrize("text", [
+        "0 1", "0 1\n", "\t 0\t 1 \t\n\n  \n", "# c\x0c\xa0 1 2 3\n0 1", "0000007 1000000\n  # x\n1 2",
+        PLAIN_LINES,
+    ], ids=["one-line", "newline", "tabs", "odd-comment", "seven-digits", "10^4-lines"])
+    def test_plain_texts_take_the_bulk_path(self, text):
+        assert graph._parse_plain(text) == graph._parse_lines(text)
+
+    @pytest.mark.parametrize("text", [
+        "0\x0c1", "0\xa01", "00000001 2", "0 1\n" + " " * 700 + "0" * 8 + " 2", "", "# only\n\n",
+        "0 1000001", "3 3", "0 1 2", "0 1 # edge", "0 x",
+    ])
+    def test_other_texts_take_the_line_loop(self, text):
+        assert graph._parse_plain(text) is None
+
+    @pytest.mark.parametrize("bad, message", [
+        ("0 1 2", "expected two vertex ids, got '0 1 2'"),
+        ("0 1 # edge", "expected two vertex ids, got '0 1 # edge'"),
+        ("0 x", "non-integer vertex id in '0 x'"),
+        ("0 +1", "non-integer vertex id in '0 +1'"),
+        ("0 -1", "negative vertex id in '0 -1'"),
+        ("0 1000001", "vertex id above 1000000 in '0 1000001'"),
+        ("0 " + "9" * 700, "vertex id above 1000000 in '0 " + "9" * 700 + "'"),
+        ("5 5", "self-loop at vertex 5"),
+        ("0000005 5", "self-loop at vertex 5"),
+    ])
+    def test_first_bad_line_after_many_plain_lines(self, bad, message):
+        text = PLAIN_LINES + bad + "\n" + PLAIN_LINES
+        with pytest.raises(GraphParseError) as exc:
+            parse_edge_list(text)
+        assert (str(exc.value), exc.value.line) == (f"line 10002: {message}", 10002)
+
+    def test_only_comments_after_many_lines_is_empty(self):
+        with pytest.raises(GraphParseError) as exc:
+            parse_edge_list("# c\n" * 10**4)
+        assert (str(exc.value), exc.value.line) == ("empty graph: no edges found", None)
+
+    @pytest.mark.parametrize("text", [
+        "0 1\n" * 10**5 + "x\n",
+        "0 1\n" * 10**5 + "0 1 2",
+        " " + "1 " * 10**5 + "x",
+        " \t" * 10**5 + "x",
+        "1" + " \t" * 10**5 + "x",
+        "1 2" + " \t" * 10**5 + "x",
+    ], ids=["bad-last-line", "three-ids-last", "one-long-line", "blank-run", "blank-run-after-id", "blank-run-after-edge"])
+    def test_rejection_takes_linear_time(self, text):
+        """A line matches the plain form in one way only; were two ways
+        open, a failing text would take time exponential in its length."""
+        start = time.perf_counter()
+        with pytest.raises(GraphParseError):
+            parse_edge_list(text)
+        assert time.perf_counter() - start < 10
 
 
 class TestDegree:

@@ -18,15 +18,11 @@ from .errors import GraphParseError, Record
 
 VERTEX_CAP = 10**6  # largest vertex id parse_edge_list accepts
 
-_EDGE = r"[0-9]{1,7}[ \t]+[0-9]{1,7}[ \t]*"  # two ids of at most 7 ASCII digits
-# A line break followed by a line that is not plain: not an edge, a blank
-# line or a comment, blanks being spaces and tabs. The three forms differ at
-# the line's first character or at its first character that is not a blank
-# (a digit; '#' or the line end), so a line matches at most one of them, in
-# one way, and a search over a whole text takes time linear in its length
-# and no memory that grows with it (one match of every line would keep
-# backtracking state for each line: 20 MB for 50000 lines).
-_NOT_PLAIN = re.compile(rf"\n(?!(?:{_EDGE}|[ \t]*(?:#[^\n]*)?|[ \t]+{_EDGE})(?:\n|\Z))")
+# A line break followed by a line that is not plain: not blanks (spaces and
+# tabs) then an edge of two ids of at most 7 ASCII digits, a comment or
+# nothing. Each line matches in one way only, so rejecting a text takes time
+# linear in its length, not exponential.
+_NOT_PLAIN = re.compile(r"\n(?![ \t]*(?:[0-9]{1,7}[ \t]+[0-9]{1,7}[ \t]*|#[^\n]*)?(?:\n|\Z))")
 _COMMENT = re.compile(r"#[^\n]*")  # in a plain text, only comments hold '#'
 
 

@@ -1,87 +1,74 @@
 #!/usr/bin/env python3
 """Run the full desk-scale experiment sweep over the bundled instances.
 
-For every edge list in data/ this produces, under --out-dir:
-  NAME.decomposition.json   exact dense decomposition + density vector,
-                            as `densefw decompose` prints them
-  NAME.peel.csv             iterated-peeling trace (objective, step, distance)
-  NAME.fwqp.csv             Frank-Wolfe trace on the orientation polytope
-  NAME.treepack_avg.csv     greedy tree packing trace (averaging steps)
-  NAME.treepack_std.csv     tree packing with the standard step rule
+For every edge list in data/ this writes, under --out-dir, what `densefw`
+prints, run in process:
+  NAME.decomposition.json   decompose
+  NAME.peel.csv             greedypp --trace (iterated peeling)
+  NAME.fwqp.csv             fw-qp --trace (Frank-Wolfe on the orientation polytope)
+  NAME.treepack_avg.csv     treepack --trace (greedy tree packing)
+  NAME.treepack_std.csv     treepack --mode fw --schedule standard --trace
   summary.json              per-instance headline numbers
 
-Distances are against the exact optimum whenever the instance is small
-enough to compute it; otherwise the column is left blank.
+So the CLI alone decides which exact reference a trace is measured against;
+above its caps the distance column is blank. A subcommand that exits 3 (a
+disconnected graph, or a ground set over a cap) leaves its file and summary
+entries out; any other failure stops the sweep.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import time
-from fractions import Fraction
 from pathlib import Path
 
-from densefw import (
-    AVERAGING,
-    STANDARD,
-    edge_count_fn,
-    fw_qp,
-    fw_tree_pack,
-    greedy_pp,
-    ideal_loads,
-    is_connected,
-    parse_edge_list,
-    tnw_strength,
-)
-from densefw.cli import REF_SIZE_CAP, run
-from densefw.setfn import ENUM_CAP
-from densefw.treepack import PARTITION_CAP
+from densefw import parse_edge_list, tnw_strength
+from densefw.cli import run
 
 
-def load_instances(data_dir: Path):
-    for path in sorted(data_dir.glob("*.el")):
-        yield path, parse_edge_list(path.read_text(encoding="utf-8"))
+def run_cli(*argv) -> str | None:
+    """The stdout of `densefw ARGV`, or None when it exits 3."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run([str(a) for a in argv])
+    if code not in (0, 3):
+        raise RuntimeError(f"densefw {' '.join(map(str, argv))} exited {code}")
+    return out.getvalue() if code == 0 else None
 
 
-def run_one(path: Path, g, out_dir: Path, iters: int) -> dict:
-    name = path.stem
+def run_one(path: Path, out_dir: Path, iters: int) -> dict:
+    g = parse_edge_list(path.read_text(encoding="utf-8-sig"))
     info: dict = {"n": g.n, "m": g.m}
     t0 = time.perf_counter()
 
-    f = edge_count_fn(g)
-    dest = out_dir / f"{name}.decomposition.json"
-    if run(["decompose", str(path), "--out", str(dest)]) != 0:
-        raise RuntimeError(f"densefw decompose failed on {path}")
-    dec = json.loads(dest.read_text(encoding="utf-8"))
-    ref = [Fraction(x) for x in dec["density_vector"].values()] if g.n <= REF_SIZE_CAP else None
-    info["blocks"] = [b["elements"] for b in dec["blocks"]]
-    info["densities"] = [b["density"] for b in dec["blocks"]]
+    dest = out_dir / f"{path.stem}.decomposition.json"
+    if run_cli("decompose", path, "--out", dest) is not None:
+        dec = json.loads(dest.read_text(encoding="utf-8"))
+        info["blocks"] = [b["elements"] for b in dec["blocks"]]
+        info["densities"] = [b["density"] for b in dec["blocks"]]
 
-    res = greedy_pp(g, iters, ref=ref)
-    res.trace.write_csv(out_dir / f"{name}.peel.csv")
-    info["peel_best_density"] = str(res.best_density)
-    info["peel_best_set"] = sorted(res.best_set)
-    if ref is not None:
-        info["peel_final_dist"] = res.trace.records[-1].dist_ref
+    for tag, *cmd in (("peel", "greedypp"), ("fwqp", "fw-qp"), ("treepack_avg", "treepack"),
+                      ("treepack_std", "treepack", "--mode", "fw", "--schedule", "standard")):
+        csv = out_dir / f"{path.stem}.{tag}.csv"
+        body = run_cli(*cmd, path, "--iters", iters, "--trace", csv)
+        if body is None:
+            continue
+        if tag == "peel":
+            peel = json.loads(body)
+            info["peel_best_density"] = peel["best_density"]
+            info["peel_best_set"] = peel["best_set"]
+        dist = csv.read_text(encoding="utf-8").splitlines()[-1].rsplit(",", 1)[1]
+        if dist:
+            info[f"{tag}_final_dist"] = float(dist)
 
-    _, tr = fw_qp(f, iters, ref=ref)
-    tr.write_csv(out_dir / f"{name}.fwqp.csv")
-    if ref is not None:
-        info["fwqp_final_dist"] = tr.records[-1].dist_ref
-
-    if is_connected(g) and g.n >= 2:
-        loads_ref = ideal_loads(g) if g.m <= ENUM_CAP else None
-        for tag, sched in (("avg", AVERAGING), ("std", STANDARD)):
-            _, tr = fw_tree_pack(g, iters, schedule=sched, ref=loads_ref)
-            tr.write_csv(out_dir / f"{name}.treepack_{tag}.csv")
-            if loads_ref is not None:
-                info[f"treepack_{tag}_final_dist"] = tr.records[-1].dist_ref
-        if g.n <= PARTITION_CAP:
-            info["strength"] = str(tnw_strength(g))
-        if loads_ref is not None:
-            info["ideal_loads"] = {str(e): str(v) for e, v in
-                                   zip(loads_ref.ground, loads_ref.values)}
+    with contextlib.suppress(ValueError):  # disconnected, or over the partition cap
+        info["strength"] = str(tnw_strength(g))
+    loads = run_cli("idealloads", path)
+    if loads is not None:
+        info["ideal_loads"] = json.loads(loads)
 
     info["seconds"] = round(time.perf_counter() - t0, 3)
     return info
@@ -98,11 +85,9 @@ def main():
 
     args.out_dir.mkdir(parents=True, exist_ok=True)
     summary = {}
-    for path, g in load_instances(args.data_dir):
-        name = path.stem
-        print(f"[{name}] n={g.n} m={g.m} ...", flush=True)
-        summary[name] = run_one(path, g, args.out_dir, args.iters)
-        print(f"[{name}] done in {summary[name]['seconds']}s")
+    for path in sorted(args.data_dir.glob("*.el")):
+        info = summary[path.stem] = run_one(path, args.out_dir, args.iters)
+        print(f"[{path.stem}] n={info['n']} m={info['m']} done in {info['seconds']}s", flush=True)
     (args.out_dir / "summary.json").write_text(
         json.dumps(summary, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {args.out_dir / 'summary.json'}")

@@ -92,7 +92,8 @@ def _build_parser() -> _Parser:
     sp.set_defaults(handler=_cmd_fw_qp)
     common(sp, iters_default=1000)
     sp.add_argument("--schedule", choices=["avg", "standard"], default="avg")
-    sp.add_argument("--exact", action="store_true", help="exact rational iterates (at most 20 iterations)")
+    sp.add_argument("--exact", action="store_true",
+                    help=f"exact rational iterates (at most {EXACT_ITERATION_CAP} iterations)")
 
     sp = sub.add_parser("verify", help="run the invariant suite on the instance")
     sp.set_defaults(handler=_cmd_verify)

@@ -174,7 +174,7 @@ def certify_lex_optimal(f: SetFunctionOracle, x) -> bool:
     arithmetic: O(m) through the `_chain` hook of both graph oracles and
     their duals, n + 1 oracle evaluations for an oracle without one.
     Membership of x in the polytope is not checked here."""
-    q = _exact(x)
+    q = _exact(f, x)
     return lmo(f, q).dot(q) >= sum(v * v for v in q)
 
 

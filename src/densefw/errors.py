@@ -45,7 +45,8 @@ class Record:
     fields; only instances of the same class compare equal, and fields whose
     names start with an underscore take part in equality but not in the
     repr. Attributes cannot be assigned or deleted, and a record holding an
-    unhashable field is unhashable."""
+    unhashable field is unhashable. Only a subclass that validates its
+    input writes `__init__`, and it stores through `Record.__init__`."""
 
     _fields: tuple[str, ...] = ()
 

@@ -78,10 +78,11 @@ def frank_wolfe(
 
     `schedule` is AVERAGING or STANDARD. The LMO is queried at w0, then at
     k * b^(k) (AVERAGING) or b^(k) (STANDARD); the result's ground is the
-    ground of its answers. `ref`, as long as w0, enables the dist_ref trace
-    column and the optional early stop at stop_dist. Exact mode needs int
-    or Fraction LMO answers and returns Fraction iterates; for int answers
-    the denominators divide k, or k(k+1)/2 under STANDARD.
+    ground of its answers. `ref`, as long as w0 and, for a BaseVector, over
+    the answers' ground, enables the dist_ref trace column and the optional
+    early stop at stop_dist. Exact mode needs int or Fraction LMO answers
+    and returns Fraction iterates; for int answers the denominators divide
+    k, or k(k+1)/2 under STANDARD.
     """
     if schedule not in (AVERAGING, STANDARD):
         raise ValueError(f"unknown schedule {schedule!r}")
@@ -101,6 +102,8 @@ def frank_wolfe(
         gamma = Fraction(1, k) if averaging else Fraction(2, k + 1)  # gamma_{k-1}, from iterate k-1 to k
         answer = lmo(q)
         if k == 1:
+            if isinstance(ref, BaseVector) and ref.ground != answer.ground:
+                raise ValueError("reference ground differs from the LMO's ground")
             q = answer.values  # gamma_0 = 1 under either schedule
         elif averaging:
             q = list(map(operator.add, q, answer.values))

@@ -27,14 +27,14 @@ _COMMENT = re.compile(r"#[^\n]*")  # in a plain text, only comments hold '#'
 
 
 class MultiGraph(Record):
-    """Immutable multigraph on vertices 0..n-1."""
+    """Immutable multigraph on vertices 0..n-1. n and every id are read by
+    `operator.index`: ints, bools and numpy ints pass, a float or a string
+    (which int() would truncate or parse) raises TypeError."""
 
     n: int
     edges: tuple[tuple[int, int], ...]
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]]):
-        # index() takes ints, bools and numpy ints, and refuses floats and
-        # strings where int() would truncate or parse them
         n = index(n)
         if n < 1:
             raise ValueError("graph needs at least one vertex")
@@ -123,7 +123,6 @@ def _parse_lines(text: str) -> MultiGraph:
     """parse_edge_list one line at a time, on text whose lines end at '\\n'."""
     edges: list[tuple[int, int]] = []
     max_id = -1
-    ascii_text = text.isascii()
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -133,12 +132,11 @@ def _parse_lines(text: str) -> MultiGraph:
             raise GraphParseError(f"expected two vertex ids, got {line!r}", lineno)
         a, b = parts
         # ASCII digits only: int() would also take "+1", "1_0" and other scripts' digits
-        if not (a.isdigit() and b.isdigit() and (ascii_text or line.isascii())):
+        if not (a.isdigit() and b.isdigit() and line.isascii()):
             signed = line.isascii() and a.removeprefix("-").isdigit() and b.removeprefix("-").isdigit()
             raise GraphParseError(f"{'negative' if signed else 'non-integer'} vertex id in {line!r}", lineno)
-        if len(line) >= 640:  # int() may refuse 640 digits, never fewer (sys.int_info.str_digits_check_threshold)
-            a, b = (s.lstrip("0")[: len(str(VERTEX_CAP)) + 1] or "0" for s in (a, b))
-        u, v = int(a), int(b)
+        # VERTEX_CAP's digits plus one keep every id's verdict, and int() never sees a long string
+        u, v = (int(s.lstrip("0")[: len(str(VERTEX_CAP)) + 1] or "0") for s in (a, b))
         if u > VERTEX_CAP or v > VERTEX_CAP:
             raise GraphParseError(f"vertex id above {VERTEX_CAP} in {line!r}", lineno)
         if u == v:
@@ -155,7 +153,7 @@ def components(g: MultiGraph, edge_subset: Iterable[int]) -> int:
 
     Isolated vertices count as components, so the empty subset gives n.
     Every index is checked before Kruskal runs, as Kruskal stops once it
-    has a spanning forest.
+    has a spanning forest; O(len(subset) + n).
     """
     subset = tuple(edge_subset)
     m = len(g.edges)

@@ -95,7 +95,9 @@ def _supergreedy(f: SetFunctionOracle):
     order lists positions of f.ground: the gain function,
     gain(mask, j) = f(S + j) - f(S) over those positions, and f(ground) are
     built once. The gain is f's own `_gains` hook, or for an oracle without
-    one the difference of two values."""
+    one the difference of two values. For a dual oracle every candidate of
+    a step asks f's hook about the same complement mask, so graphic rank's
+    union-find moves once per step."""
     if f.kind != SUPERMODULAR:
         raise OracleFlagError("weighted_supergreedy needs a supermodular oracle")
     ground = f.ground

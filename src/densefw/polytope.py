@@ -74,7 +74,9 @@ def lmo(f: SetFunctionOracle, w: Sequence) -> BaseVector:
     against everything heavier), so light elements receive the large
     marginals. Scale-invariant in w. The marginals come from f's `_chain`
     hook when it has one (O(m) for both graph oracles and their duals),
-    otherwise from n + 1 evaluations.
+    otherwise from n + 1 evaluations. For edge count the answer is the
+    load of the cheapest orientation, each edge charged to its lighter
+    endpoint; for graphic rank it marks the minimum spanning tree.
     """
     if not f.normalized:
         raise OracleFlagError("lmo requires a normalized oracle")
@@ -98,10 +100,12 @@ def enumerate_base_vertices(f: SetFunctionOracle) -> list[BaseVector]:
     return [BaseVector(f.ground, v) for v in sorted(seen)]
 
 
-def _exact(x) -> list:
-    """Values of a BaseVector or a sequence as ints and Fractions; floats
-    become exact binary rationals."""
-    vals = x.values if isinstance(x, BaseVector) else tuple(x)
+def _exact(f: SetFunctionOracle, x) -> list:
+    """The values of x as ints and Fractions, floats as exact binary
+    rationals; a BaseVector must be over f.ground, a sequence is positional."""
+    if isinstance(x, BaseVector) and x.ground != f.ground:
+        raise ValueError("vector ground differs from the oracle's ground")
+    vals = x.values if isinstance(x, BaseVector) else x
     return [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in vals]
 
 
@@ -109,6 +113,7 @@ def verify_base(f: SetFunctionOracle, x) -> bool:
     """Exhaustively check that x lies in the base polytope of f.
 
     Exact arithmetic: float inputs are converted to exact binary rationals.
+    A BaseVector must be over f.ground; a sequence is read by position.
     This is `verify_bases` for one vector.
     """
     return verify_bases(f, [x])[0]
@@ -124,12 +129,14 @@ def verify_bases(f: SetFunctionOracle, xs) -> list[bool]:
     x_k >= 0 and x_k(V) = f(V) get this far, so |sign d x_k(S)| <= t = d
     f(V) for every S. Clamping c(S) to [-t-1, t] keeps the sign of every
     slack and puts it in [-2t-1, 2t], so the fields are sized from the
-    vectors alone and f needs no bound. Each s_k(S) + 2^(w-1) is one w-bit
-    field of a single int, a walk step moves every slack by two big-int
-    additions, and a field whose top bit clears names a violated set.
+    vectors alone and f needs no bound: f is asked for f(V) and the walk's
+    values only, two sets for an oracle with a `_gains` hook. Each s_k(S) +
+    2^(w-1) is one w-bit field of a single int, a walk step moves every
+    slack by two big-int additions, and a field whose top bit clears names
+    a violated set.
     """
     scan = walk(f)  # raises above ENUM_CAP before any arithmetic
-    qs = [_exact(x) for x in xs]
+    qs = [_exact(f, x) for x in xs]
     if any(len(q) != len(f.ground) for q in qs):
         raise ValueError("vector length mismatch")
     full = f._eval(f.ground_set)

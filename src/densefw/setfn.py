@@ -235,7 +235,7 @@ def dualize(f: SetFunctionOracle) -> SetFunctionOracle:
 
 
 def contract(f: SetFunctionOracle, onto: Iterable[int]) -> SetFunctionOracle:
-    """Contraction f_A(X) = f(X + A) - f(A) on ground \\ A. Preserves kind."""
+    """Contraction f_A(X) = f(X + A) - f(A) on ground \\ A. Keeps kind and `_gains`, not `_chain`."""
     a = frozenset(onto)
     if not a <= f.ground_set:
         raise ValueError("contraction set not within ground set")
@@ -250,7 +250,7 @@ def contract(f: SetFunctionOracle, onto: Iterable[int]) -> SetFunctionOracle:
 
 
 def restrict(f: SetFunctionOracle, keep: Iterable[int]) -> SetFunctionOracle:
-    """Restriction of f to subsets of `keep`. Preserves all flags."""
+    """Restriction of f to subsets of `keep`. Keeps all flags and `_gains`, not `_chain`."""
     k = frozenset(keep)
     if not k <= f.ground_set:
         raise ValueError("restriction set not within ground set")

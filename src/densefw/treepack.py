@@ -37,7 +37,7 @@ def _require_connected(g: MultiGraph):
 
 
 def ideal_loads(g: MultiGraph) -> BaseVector:
-    """Exact per-edge ideal loads, summing to n - 1.
+    """Exact per-edge ideal loads, summing to n - 1; at most `setfn.ENUM_CAP` edges.
 
     Computed as the density vector of the graphic rank oracle: edges in the
     i-th deletion block carry the reciprocal of that block's ratio.

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import k4, random_multigraph, single_edge, three_tier, tri_pendant, triangle
-from densefw import MultiGraph, curvature_bounds, edge_count_fn, treepack, verify_base
+from densefw import BaseVector, MultiGraph, curvature_bounds, edge_count_fn, peel, polytope, treepack, verify_base
 from densefw.checks import (
     curvature_witness,
     integral_orientation_loads,
@@ -94,6 +94,18 @@ class TestRunInstanceChecks:
         assert {"ideal_loads_match_partitions", "max_load_is_inv_strength"} <= names
         assert all(r.ok for r in results)
         assert whole.count(True) == 1
+
+    def test_an_lmo_answering_the_heaviest_vertex_fails_edmonds_minimizes(self, monkeypatch):
+        exact = polytope.lmo
+        monkeypatch.setattr(polytope, "lmo", lambda f, w: exact(f, [-x for x in w]))
+        assert [r.name for r in run_instance_checks(triangle()) if not r.ok] == ["edmonds_minimizes"]
+
+    def test_a_peel_past_its_error_bound_fails_peel_error_bound(self, monkeypatch):
+        def costly(g, w):
+            return peel.PeelResult(tuple(range(g.n)), BaseVector(range(g.n), (10**6,) * g.n))
+
+        monkeypatch.setattr(peel, "weighted_greedy", costly)
+        assert [r.name for r in run_instance_checks(triangle()) if not r.ok] == ["peel_error_bound"]
 
     def test_results_are_deterministic_for_a_seed(self):
         a = run_instance_checks(triangle(), seed=7)

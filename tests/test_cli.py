@@ -445,6 +445,25 @@ class TestEntryPoints:
         _, out, _ = invoke(capsys, ["decompose", str(data_dir / "three_tier.el")])
         assert (tmp_path / "three_tier.decomposition.json").read_text(encoding="utf-8") == out
 
+    def test_experiment_script_leaves_out_what_exits_3(self, data_dir, tmp_path):
+        """On a disconnected graph `treepack` and `idealloads` exit 3 and the
+        strength is refused, so their files and summary entries are left
+        out; the edge list is read as the CLI reads it, past a BOM."""
+        (tmp_path / "data").mkdir()
+        (tmp_path / "data" / "two_edges.el").write_text("\ufeff0 1\n2 3\n", encoding="utf-8")
+        script = data_dir.parent / "scripts" / "run_experiments.py"
+        proc = subprocess.run(
+            [sys.executable, str(script), "--iters", "3", "--data-dir", str(tmp_path / "data"),
+             "--out-dir", str(tmp_path / "out")],
+            capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+            "summary.json", "two_edges.decomposition.json", "two_edges.fwqp.csv", "two_edges.peel.csv"]
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text(encoding="utf-8"))
+        assert list(summary["two_edges"]) == [
+            "n", "m", "blocks", "densities", "peel_best_density", "peel_best_set",
+            "peel_final_dist", "fwqp_final_dist", "seconds"]
+
     def test_readme_library_example(self, data_dir, capsys):
         """README's Library block runs as written."""
         readme = (data_dir.parent / "README.md").read_text(encoding="utf-8")

@@ -42,6 +42,7 @@ from densefw import (
     verify_decomposition_equivalence,
     weighted_supergreedy,
 )
+from densefw import decomp
 from densefw.decomp import CONTRACTION, DELETION
 from densefw.errors import (
     DegenerateDecompositionError,
@@ -406,6 +407,18 @@ class TestEquivalence:
         for _ in range(15):
             g = random_multigraph(rng, n_max=6, m_max=8)
             assert verify_decomposition_equivalence(graphic_rank_fn(g))
+
+    @pytest.mark.parametrize("fake", [
+        pytest.param(lambda dec: DenseDecomposition(dec.variant, dec.blocks[::-1], dec.densities[::-1]),
+                     id="blocks-in-another-order"),
+        pytest.param(lambda dec: DenseDecomposition(dec.variant, dec.blocks, tuple(2 * d for d in dec.densities)),
+                     id="densities-not-reciprocal"),
+    ])
+    def test_contraction_blocks_or_densities_that_disagree_fail(self, monkeypatch, fake):
+        exact = decomp.decompose_supermodular
+        monkeypatch.setattr(decomp, "decompose_supermodular", lambda f: fake(exact(f)))
+        assert len(exact(dualize(graphic_rank_fn(tri_pendant()))).blocks) == 2
+        assert not verify_decomposition_equivalence(graphic_rank_fn(tri_pendant()))
 
 
 class TestUniquenessStructure:

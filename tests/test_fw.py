@@ -99,6 +99,25 @@ class TestFrankWolfe:
                 fw_qp(f, 3, ref=ref)
         assert calls == []
 
+    def test_reference_over_another_ground_rejected_after_one_query(self):
+        """A BaseVector reference names its elements: one over the LMO's
+        ground in another order is refused once the first answer shows
+        that ground, before the second query. A sequence stays positional."""
+        f = edge_count_fn(p3())
+        calls = []
+
+        def counting(w):
+            calls.append(w)
+            return lmo(f, w)
+
+        ref = density_vector(f)
+        with pytest.raises(ValueError, match="reference ground differs from the LMO's ground"):
+            frank_wolfe(counting, (0, 0, 0), iterations=3, ref=BaseVector(ref.ground[::-1], ref.values))
+        assert len(calls) == 1
+        _, by_ground = frank_wolfe(counting, (0, 0, 0), iterations=3, ref=ref)
+        _, by_position = frank_wolfe(counting, (0, 0, 0), iterations=3, ref=ref.values)
+        assert by_ground == by_position
+
     def test_default_start_is_lmo_at_zero(self):
         g = triangle()
         x, trace = orientation_qp(g, iterations=1, exact=True)

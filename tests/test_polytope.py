@@ -20,10 +20,13 @@ from densefw import (
     BaseVector,
     MultiGraph,
     Orientation,
+    certify_lex_optimal,
+    density_vector,
     dualize,
     edge_count_fn,
     enumerate_base_vertices,
     graphic_rank_fn,
+    greedy_pp,
     lmo,
     verify_base,
     verify_bases,
@@ -202,6 +205,24 @@ class TestVerifyBase:
     def test_float_just_off_the_polytope_fails(self):
         assert not verify_base(graphic_rank_fn(triangle()), (0.6666666666666666,) * 3)
 
+    def test_base_vector_is_read_by_its_ground(self, data_dir):
+        """The density vector with its ground listed in reverse names another
+        vector, which is neither a base nor optimal; the checks and a
+        Greedy++ reference refuse it instead of reading it by position."""
+        g = parse_edge_list((data_dir / "three_tier.el").read_text())
+        f = edge_count_fn(g)
+        b = density_vector(f)
+        reversed_ground = BaseVector(b.ground[::-1], b.values)
+        named = BaseVector(b.ground, b.values[::-1])  # the vector reversed_ground names
+        assert verify_base(f, b) and certify_lex_optimal(f, b)
+        assert not verify_base(f, named) and not certify_lex_optimal(f, named)
+        for check in (verify_base, certify_lex_optimal, lambda f, x: verify_bases(f, [b, x])):
+            with pytest.raises(ValueError, match="vector ground differs from the oracle's ground"):
+                check(f, reversed_ground)
+        with pytest.raises(ValueError, match="reference ground differs from the LMO's ground"):
+            greedy_pp(g, 3, ref=reversed_ground)
+        assert greedy_pp(g, 3, ref=named.values).trace == greedy_pp(g, 3, ref=named).trace
+
     def test_size_cap(self):
         from densefw import MultiGraph
 
@@ -213,6 +234,10 @@ class TestVerifyBase:
 class TestVerifyBases:
     """verify_bases: one packed walk for many vectors, against one walk per
     vector and against the frozenset reference."""
+
+    def test_vector_of_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="vector length mismatch"):
+            verify_bases(edge_count_fn(triangle()), [(1, 1, 1), (1, 2)])
 
     def test_orientation_loads_match_per_vector_scans(self, data_dir):
         graphs = [parse_edge_list(p.read_text()) for p in sorted(data_dir.glob("*.el"))]

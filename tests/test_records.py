@@ -88,6 +88,8 @@ def test_fields_come_from_the_annotations():
     assert (p.y, p.x, p.label, p.total()) == (1, 2, "a", 3)
     assert repr(p).endswith(".Labelled(y=1, x=2, label='a')")  # a qualified name
     assert p == Labelled(1, 2, "a") != Labelled(2, 1, "a")
+    assert p.__eq__(Point(1, 2)) is p.__eq__((1, 2, "a")) is NotImplemented  # another class, a plain tuple
+    assert p != Point(1, 2) and p != (1, 2, "a")
     with pytest.raises(TypeError, match=r"\.Point takes 2 fields, got 3$"):
         Point(1, 2, 3)
 

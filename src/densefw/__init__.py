@@ -37,9 +37,7 @@ _EXPORTS = {
     "peel": (
         "GreedyPPResult",
         "PeelResult",
-        "greedy_pp",
         "supergreedy_pp",
-        "weighted_greedy",
         "weighted_supergreedy",
     ),
     "polytope": (

@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import repeat
 
 from . import decomp, fw, peel, polytope, setfn, treepack
-from .errors import Record
+from .errors import GroundSetTooLargeError, Record
 from .graph import MultiGraph, is_connected
 
 _ORIENTATION_CAP = 10  # largest edge set integral_orientation_loads enumerates
@@ -24,7 +24,7 @@ _ORIENTATION_CAP = 10  # largest edge set integral_orientation_loads enumerates
 def integral_orientation_loads(g: MultiGraph) -> list[tuple[int, ...]]:
     """Loads of all 2^m integral orientations, one row per orientation."""
     if g.m > _ORIENTATION_CAP:
-        raise ValueError(f"orientation enumeration limited to {_ORIENTATION_CAP} edges")
+        raise GroundSetTooLargeError(f"orientation enumeration limited to {_ORIENTATION_CAP} edges, got {g.m}")
     return [polytope.Orientation.from_mask(g, mask).induced_load(g).values for mask in range(1 << g.m)]
 
 
@@ -102,7 +102,7 @@ def run_instance_checks(g: MultiGraph, seed: int = 0) -> list[CheckResult]:
         ok = True
         for _ in range(10):
             w = rng.choices(range(16), k=g.n)
-            dhat = peel.weighted_greedy(g, w).dhat
+            dhat = peel.weighted_supergreedy(f_edges, w).dhat
             dstar = polytope.lmo(f_edges, w)
             if dhat.dot(w) > dstar.dot(w) + sq:
                 ok = False

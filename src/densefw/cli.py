@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 
 from . import setfn
-from .errors import GraphParseError
+from .errors import GraphParseError, GroundSetTooLargeError
 from .graph import MultiGraph, is_connected, parse_edge_list
 
 EXIT_OK = 0
@@ -31,6 +31,7 @@ EXIT_USAGE = 64
 
 REF_SIZE_CAP = 12  # compute exact reference vectors for traces up to this size
 EXACT_ITERATION_CAP = 20  # fw-qp --exact iterations, under either schedule
+SUPERGREEDY_CAP = 200  # supergreedypp ground sets, either --fn: a rank-dual scan round asks O(n^2) marginals
 
 
 class _Parser(argparse.ArgumentParser):
@@ -152,8 +153,11 @@ def _cmd_decompose(ns: argparse.Namespace, g: MultiGraph) -> dict:
     }
 
 
-def _peel_body(ns: argparse.Namespace, res) -> dict:
-    """The greedypp/supergreedypp body of a GreedyPPResult."""
+def _peel_run(ns: argparse.Namespace, f: setfn.SetFunctionOracle) -> dict:
+    """The greedypp/supergreedypp body of a Super-Greedy++ run on f."""
+    from . import peel
+
+    res = peel.supergreedy_pp(f, ns.iters, ref=_ref(ns, f), stop_dist=ns.epsilon)
     return {
         "best_set": sorted(res.best_set),
         "best_density": str(res.best_density),
@@ -162,19 +166,14 @@ def _peel_body(ns: argparse.Namespace, res) -> dict:
 
 
 def _cmd_greedypp(ns: argparse.Namespace, g: MultiGraph) -> dict:
-    from . import peel
-
-    return _peel_body(ns, peel.greedy_pp(g, ns.iters, ref=_ref(ns, setfn.edge_count_fn(g)), stop_dist=ns.epsilon))
+    return _peel_run(ns, setfn.edge_count_fn(g))
 
 
 def _cmd_supergreedypp(ns: argparse.Namespace, g: MultiGraph) -> dict:
-    from . import peel
-
-    if ns.fn == "edges":
-        f = setfn.edge_count_fn(g)
-    else:
-        f = setfn.dualize(setfn.graphic_rank_fn(g))
-    return _peel_body(ns, peel.supergreedy_pp(f, ns.iters, ref=_ref(ns, f), stop_dist=ns.epsilon))
+    f = setfn.edge_count_fn(g) if ns.fn == "edges" else setfn.dualize(setfn.graphic_rank_fn(g))
+    if len(f.ground) > SUPERGREEDY_CAP:
+        raise GroundSetTooLargeError(f"supermodular peeling limited to {SUPERGREEDY_CAP} elements, got {len(f.ground)}")
+    return _peel_run(ns, f)
 
 
 def _cmd_treepack(ns: argparse.Namespace, g: MultiGraph) -> dict:

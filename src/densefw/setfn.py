@@ -32,14 +32,19 @@ class SetFunctionOracle(Record):
     monotone: bool
     normalized: bool
     _eval: Callable[[frozenset[int]], Fraction | int]
-    # Two optional hooks, outside the fields, answer without evaluating a set:
+    # Three optional hooks, outside the fields, answer without evaluating a set:
     # _gains(elems, base) returns gain(mask, j) = f(S | base | {elems[j]}) -
     # f(S | base), where bit j is clear in mask and S is the subset of elems
-    # whose positions are set in mask; `walk` and Super-Greedy++ move by it,
-    # O(1) amortized per gain for both graph oracles. _chain(order) returns
-    # the greedy marginals `polytope.lmo` hands out along an order of
-    # positions of ground (prefixes for submodular f, suffixes for
-    # supermodular f), in O(m) for both graph oracles.
+    # whose positions are set in mask; `walk` and the Super-Greedy++ scan
+    # move by it, O(1) amortized per gain for both graph oracles.
+    # _chain(order) returns the greedy marginals `polytope.lmo` hands out
+    # along an order of positions of ground (prefixes for submodular f,
+    # suffixes for supermodular f), in O(m) for both graph oracles.
+    # _peel() returns, per position, its marginal against the rest of the
+    # ground and the positions whose marginal falls by one when it leaves
+    # (listed once per unit of fall); Super-Greedy++ then peels with a lazy
+    # heap, ties to the smaller position. Only edge count has it: its
+    # degrees and adjacency lists.
 
     def __init__(
         self,
@@ -50,6 +55,7 @@ class SetFunctionOracle(Record):
         _eval: Callable[[frozenset[int]], Fraction | int],
         _gains: Callable | None = None,
         _chain: Callable | None = None,
+        _peel: Callable | None = None,
     ):
         if kind not in (SUBMODULAR, SUPERMODULAR):
             raise ValueError(f"unknown kind {kind!r}")
@@ -57,7 +63,7 @@ class SetFunctionOracle(Record):
         if len(set(ground)) != len(ground):
             raise ValueError("ground set has repeated elements")
         Record.__init__(self, ground, kind, monotone, normalized, _eval)
-        self.__dict__.update(_gains=_gains, _chain=_chain)
+        self.__dict__.update(_gains=_gains, _chain=_chain, _peel=_peel)
 
     @property
     def ground_set(self) -> frozenset[int]:
@@ -131,7 +137,10 @@ def edge_count_fn(g: MultiGraph) -> SetFunctionOracle:
                 vals[v] += 1
         return vals
 
-    return SetFunctionOracle(tuple(range(g.n)), SUPERMODULAR, True, True, ev, gains, chain)
+    def peel():
+        return g.degrees, g.adjacency  # built on first use and cached by g
+
+    return SetFunctionOracle(tuple(range(g.n)), SUPERMODULAR, True, True, ev, gains, chain, peel)
 
 
 def graphic_rank_fn(g: MultiGraph) -> SetFunctionOracle:
@@ -213,7 +222,7 @@ def dualize(f: SetFunctionOracle) -> SetFunctionOracle:
     `_chain` serves g unchanged: along one order, g's suffix marginals are
     f's prefix marginals and the other way round. g's `_gains` comes from
     f's: g(S + j) - g(S) = f(V - S) - f(V - S - j) is f's gain of j on
-    V - S - j.
+    V - S - j. f's `_peel` is not passed on.
     """
     if not (f.monotone and f.normalized):
         raise OracleFlagError("dualize requires a monotone, normalized oracle")
@@ -235,7 +244,7 @@ def dualize(f: SetFunctionOracle) -> SetFunctionOracle:
 
 
 def contract(f: SetFunctionOracle, onto: Iterable[int]) -> SetFunctionOracle:
-    """Contraction f_A(X) = f(X + A) - f(A) on ground \\ A. Keeps kind and `_gains`, not `_chain`."""
+    """Contraction f_A(X) = f(X + A) - f(A) on ground \\ A. Keeps kind and `_gains`, not `_chain` or `_peel`."""
     a = frozenset(onto)
     if not a <= f.ground_set:
         raise ValueError("contraction set not within ground set")
@@ -250,7 +259,7 @@ def contract(f: SetFunctionOracle, onto: Iterable[int]) -> SetFunctionOracle:
 
 
 def restrict(f: SetFunctionOracle, keep: Iterable[int]) -> SetFunctionOracle:
-    """Restriction of f to subsets of `keep`. Keeps all flags and `_gains`, not `_chain`."""
+    """Restriction of f to subsets of `keep`. Keeps all flags and `_gains`, not `_chain` or `_peel`."""
     k = frozenset(keep)
     if not k <= f.ground_set:
         raise ValueError("restriction set not within ground set")

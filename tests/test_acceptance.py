@@ -27,13 +27,12 @@ from densefw import (
     enumerate_base_vertices,
     fw_tree_pack,
     graphic_rank_fn,
-    greedy_pp,
     ideal_loads,
     lmo,
     tnw_ideal_loads,
     verify_base,
+    supergreedy_pp,
     verify_decomposition_equivalence,
-    weighted_greedy,
     weighted_supergreedy,
 )
 from densefw.decomp import certify_lex_optimal
@@ -87,7 +86,7 @@ def test_criterion_02_iterated_peeling_converges():
         budget = int(10 * g.m * g.n * g.n / eps**2)
         ref = density_vector(edge_count_fn(g))
         t0 = time.perf_counter()
-        res = greedy_pp(g, min(budget, 100_000), ref=ref, stop_dist=eps)
+        res = supergreedy_pp(edge_count_fn(g), min(budget, 100_000), ref=ref, stop_dist=eps)
         elapsed = time.perf_counter() - t0
         last = res.trace.records[-1]
         if not (last.dist_ref <= eps and last.k <= budget):
@@ -104,7 +103,7 @@ def test_criterion_03_harmonic_bound_never_violated():
         _, hi = curvature_bounds(g)
         growth = 1.0 + float(delta_for_graph(g))
         opt = float(sum(v * v for v in density_vector(edge_count_fn(g)).values))
-        res = greedy_pp(g, 2000)
+        res = supergreedy_pp(edge_count_fn(g), 2000)
         bad = 0
         for rec in res.trace.records:
             bound = 2.0 * hi * growth * h[rec.k + 1] / (rec.k + 1)
@@ -123,12 +122,13 @@ def test_criterion_04_peel_is_an_additive_approximate_oracle():
         g = random_multigraph(rng, n_max=8, m_max=14)
         w = [rng.randint(0, 20) for _ in range(g.n)]
         sq = sum(d * d for d in g.degrees)
-        dstar = lmo(edge_count_fn(g), w)  # the min-cost orientation's load
+        f = edge_count_fn(g)
+        dstar = lmo(f, w)  # the min-cost orientation's load
         base = dstar.dot(w)
-        if weighted_greedy(g, w).dhat.dot(w) > base + sq:
+        if weighted_supergreedy(f, w).dhat.dot(w) > base + sq:
             plain += 1
         for kk in (1, 10, 1000):
-            dk = weighted_greedy(g, [kk * wi for wi in w]).dhat
+            dk = weighted_supergreedy(f, [kk * wi for wi in w]).dhat
             if dk.dot(w) > base + Fraction(sq, kk):
                 scaled += 1
     if plain:

@@ -6,6 +6,7 @@ import pytest
 
 from conftest import k4, random_multigraph, single_edge, three_tier, tri_pendant, triangle
 from densefw import BaseVector, MultiGraph, curvature_bounds, edge_count_fn, peel, polytope, treepack, verify_base
+from densefw.errors import GroundSetTooLargeError
 from densefw.checks import (
     curvature_witness,
     integral_orientation_loads,
@@ -27,7 +28,7 @@ class TestOrientationEnumeration:
 
     def test_size_cap(self):
         g = MultiGraph(2, ((0, 1),) * 11)
-        with pytest.raises(ValueError):
+        with pytest.raises(GroundSetTooLargeError, match=r"^orientation enumeration limited to 10 edges, got 11$"):
             integral_orientation_loads(g)
 
 
@@ -101,10 +102,10 @@ class TestRunInstanceChecks:
         assert [r.name for r in run_instance_checks(triangle()) if not r.ok] == ["edmonds_minimizes"]
 
     def test_a_peel_past_its_error_bound_fails_peel_error_bound(self, monkeypatch):
-        def costly(g, w):
-            return peel.PeelResult(tuple(range(g.n)), BaseVector(range(g.n), (10**6,) * g.n))
+        def costly(f, w):
+            return peel.PeelResult(f.ground, BaseVector(f.ground, (10**6,) * len(f.ground)))
 
-        monkeypatch.setattr(peel, "weighted_greedy", costly)
+        monkeypatch.setattr(peel, "weighted_supergreedy", costly)
         assert [r.name for r in run_instance_checks(triangle()) if not r.ok] == ["peel_error_bound"]
 
     def test_results_are_deterministic_for_a_seed(self):

@@ -8,14 +8,14 @@ import subprocess
 import sys
 import time
 import venv
+from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from densefw.cli import run
+from densefw.cli import SUPERGREEDY_CAP, run
 from densefw.graph import VERTEX_CAP
-from densefw.peel import SUPERGREEDY_CAP
 from test_golden import FORMS
 
 
@@ -287,7 +287,7 @@ class TestExitCodes:
         vertices in about 2 s at about 150 MB peak RSS, and one fw-qp step
         prints its 12.9 MB iterate in about 3 s at about 250 MB. verify is
         left out: it takes 24 to 30 s, nearly all in its peel_error_bound
-        check, which runs ten full weighted_greedy peels, ten
+        check, which runs ten full edge-count weighted_supergreedy peels, ten
         random.choices draws of 10^6 weights and ten exact LMOs."""
         if out is None:  # fw-qp's first iterate: the greedy vertex puts the one edge on its last vertex
             out = ('{"iterate":{' + "".join(f'"{v}":0.0,' for v in range(VERTEX_CAP))
@@ -340,6 +340,33 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert err == f"error: supermodular peeling limited to {SUPERGREEDY_CAP} elements, got 1000001\n"
+
+    @pytest.mark.parametrize("fn, text", [
+        ("edges", "0 200\n"),  # 201 vertices
+        ("rank-dual", "0 1\n" * 201),  # 201 edges
+    ])
+    def test_supergreedy_cap_is_the_clis(self, capsys, monkeypatch, tmp_path, fn, text):
+        """The CLI refuses one element over SUPERGREEDY_CAP for either --fn,
+        before the reference and the run; the library peels edge count at
+        any size."""
+        from densefw import cli, peel
+        from densefw.graph import parse_edge_list
+        from densefw.setfn import edge_count_fn
+
+        library_run = peel.supergreedy_pp
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("work done before the cap check")
+
+        monkeypatch.setattr(cli, "_ref", refuse)
+        monkeypatch.setattr(peel, "supergreedy_pp", refuse)
+        path = write_graph(tmp_path, "over.el", text)
+        code, out, err = invoke(capsys, ["supergreedypp", "--fn", fn, "--trace", str(tmp_path / "t.csv"), path])
+        assert (code, out) == (3, "")
+        assert err == f"error: supermodular peeling limited to {SUPERGREEDY_CAP} elements, got 201\n"
+        if fn == "edges":
+            res = library_run(edge_count_fn(parse_edge_list(text)), 3)
+            assert (res.best_set, res.best_density) == (frozenset({0, 200}), Fraction(1, 2))
 
     def test_exact_iteration_cap(self, capsys, data_dir):
         """Only the CLI caps exact runs: 20 iterations under either schedule."""

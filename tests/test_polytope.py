@@ -26,8 +26,8 @@ from densefw import (
     edge_count_fn,
     enumerate_base_vertices,
     graphic_rank_fn,
-    greedy_pp,
     lmo,
+    supergreedy_pp,
     verify_base,
     verify_bases,
 )
@@ -220,8 +220,8 @@ class TestVerifyBase:
             with pytest.raises(ValueError, match="vector ground differs from the oracle's ground"):
                 check(f, reversed_ground)
         with pytest.raises(ValueError, match="reference ground differs from the LMO's ground"):
-            greedy_pp(g, 3, ref=reversed_ground)
-        assert greedy_pp(g, 3, ref=named.values).trace == greedy_pp(g, 3, ref=named).trace
+            supergreedy_pp(f, 3, ref=reversed_ground)
+        assert supergreedy_pp(f, 3, ref=named.values).trace == supergreedy_pp(f, 3, ref=named).trace
 
     def test_size_cap(self):
         from densefw import MultiGraph

@@ -13,9 +13,9 @@ from densefw import (
     SetFunctionOracle,
     decompose_supermodular,
     edge_count_fn,
-    greedy_pp,
     lmo,
-    weighted_greedy,
+    supergreedy_pp,
+    weighted_supergreedy,
 )
 from densefw.checks import CheckResult, run_instance_checks  # checks loads every module with a record
 from densefw.errors import Record
@@ -26,7 +26,7 @@ def _frozen_fields():
     g = triangle()
     f = edge_count_fn(g)
     orientation, load = Orientation.from_mask(g, 0b11), lmo(f, [0, 0, 0])
-    result = greedy_pp(g, 2)
+    result = supergreedy_pp(f, 2)
     return [
         (g, "n"),
         (g, "edges"),
@@ -36,7 +36,7 @@ def _frozen_fields():
         (load, "values"),
         (orientation, "share_first"),
         (decompose_supermodular(f), "blocks"),
-        (weighted_greedy(g, [0, 0, 0]), "order"),
+        (weighted_supergreedy(f, [0, 0, 0]), "order"),
         (result, "best_set"),
         (result.trace, "records"),
         (result.trace.records[0], "objective"),

@@ -45,7 +45,6 @@ _EXPORTS = {
         "Orientation",
         "enumerate_base_vertices",
         "lmo",
-        "verify_base",
         "verify_bases",
     ),
     "setfn": (

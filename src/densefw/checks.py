@@ -114,7 +114,7 @@ def run_instance_checks(g: MultiGraph, seed: int = 0) -> list[CheckResult]:
         strictly = all(a > b for a, b in zip(dec.densities, dec.densities[1:]))
         add("contraction_densities_decrease", strictly)
         bstar = dec.vector(f_edges.ground)
-        add("density_vector_is_base", polytope.verify_base(f_edges, bstar))
+        add("density_vector_is_base", polytope.verify_bases(f_edges, [bstar])[0])
         if g.n <= 7:
             add("density_vector_certified", decomp.certify_lex_optimal(f_edges, bstar))
     if 1 <= g.m <= 9:
@@ -124,7 +124,7 @@ def run_instance_checks(g: MultiGraph, seed: int = 0) -> list[CheckResult]:
         ideal = treepack.ideal_loads(g)
         tau, tnw = treepack._tnw(g)  # one scan gives the strength and the top level of the loads
         add("ideal_loads_match_partitions", ideal.values == tnw.values)
-        add("ideal_loads_are_base", polytope.verify_base(f_rank, ideal))
+        add("ideal_loads_are_base", polytope.verify_bases(f_rank, [ideal])[0])
         add("max_load_is_inv_strength", max(ideal.values) == 1 / tau)
     return out
 

@@ -170,10 +170,10 @@ def _cmd_greedypp(ns: argparse.Namespace, g: MultiGraph) -> dict:
 
 
 def _cmd_supergreedypp(ns: argparse.Namespace, g: MultiGraph) -> dict:
-    f = setfn.edge_count_fn(g) if ns.fn == "edges" else setfn.dualize(setfn.graphic_rank_fn(g))
-    if len(f.ground) > SUPERGREEDY_CAP:
-        raise GroundSetTooLargeError(f"supermodular peeling limited to {SUPERGREEDY_CAP} elements, got {len(f.ground)}")
-    return _peel_run(ns, f)
+    size = g.n if ns.fn == "edges" else g.m  # the ground set's, checked before the oracle is built
+    if size > SUPERGREEDY_CAP:
+        raise GroundSetTooLargeError(f"supermodular peeling limited to {SUPERGREEDY_CAP} elements, got {size}")
+    return _peel_run(ns, setfn.edge_count_fn(g) if ns.fn == "edges" else setfn.dualize(setfn.graphic_rank_fn(g)))
 
 
 def _cmd_treepack(ns: argparse.Namespace, g: MultiGraph) -> dict:

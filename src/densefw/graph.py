@@ -61,11 +61,7 @@ class MultiGraph(Record):
     @cached_property
     def degrees(self) -> tuple[int, ...]:
         """degrees[v] counts the edges at v, parallel edges with multiplicity."""
-        deg = [0] * self.n
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        return tuple(deg)
+        return tuple(map(len, self.adjacency))
 
     @cached_property
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
@@ -164,7 +160,7 @@ def components(g: MultiGraph, edge_subset: Iterable[int]) -> int:
 
 
 def is_connected(g: MultiGraph) -> bool:
-    return components(g, range(g.m)) == 1
+    return g.m >= g.n - 1 and components(g, range(g.m)) == 1  # n vertices need n - 1 edges to connect
 
 
 def _kruskal(g: MultiGraph, order: Iterable[int]) -> list[int]:

@@ -49,8 +49,12 @@ def weighted_supergreedy(f: SetFunctionOracle, w: Sequence) -> PeelResult:
     With f's `_peel` hook a round is one lazy-heap pass; without it a round
     asks O(n^2) marginals, each one gain from f's `_gains` hook (O(1)
     amortized for both graph oracles and their duals) or, without that
-    hook either, one new evaluation."""
-    pr = _supergreedy(f)(w)
+    hook either, one new evaluation. Only here is w's length checked:
+    supergreedy_pp peels with its own sums, one per element."""
+    peel, n = _supergreedy(f), len(f.ground)
+    if len(w) != n:
+        raise ValueError(f"expected {n} weights, got {len(w)}")
+    pr = peel(w)
     return PeelResult(tuple(map(f.ground.__getitem__, pr.order)), pr.dhat)
 
 
@@ -77,8 +81,6 @@ def _supergreedy(f: SetFunctionOracle):
     by_element = sorted(range(n), key=ground.__getitem__)
 
     def peel(w: Sequence) -> PeelResult:
-        if len(w) != n:
-            raise ValueError(f"expected {n} weights, got {len(w)}")
         left = full  # f of the set still in, by telescoping
         mask = (1 << n) - 1
         rest = by_element[:]  # positions still in, in element order
@@ -110,8 +112,6 @@ def _heap_peel(f: SetFunctionOracle, w: Sequence) -> PeelResult:
     any others (Fractions, finite floats) are scaled to ints by their
     common denominator d, which scales every key and every fall by d."""
     n = len(f.ground)
-    if len(w) != n:
-        raise ValueError(f"expected {n} weights, got {len(w)}")
     marg, falls = f._peel()
     d = 1
     if not set(map(type, w)) <= {int}:

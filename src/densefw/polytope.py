@@ -27,7 +27,7 @@ class BaseVector(Record):
 
     Values are exact rationals for oracle outputs and certificates, floats
     for long Frank-Wolfe runs, whose sum may miss f(V) by rounding.
-    `verify_base` checks either kind exactly, a float as the binary
+    `verify_bases` checks either kind exactly, a float as the binary
     rational it holds.
     """
 
@@ -109,18 +109,10 @@ def _exact(f: SetFunctionOracle, x) -> list:
     return [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in vals]
 
 
-def verify_base(f: SetFunctionOracle, x) -> bool:
-    """Exhaustively check that x lies in the base polytope of f.
-
-    Exact arithmetic: float inputs are converted to exact binary rationals.
-    A BaseVector must be over f.ground; a sequence is read by position.
-    This is `verify_bases` for one vector.
-    """
-    return verify_bases(f, [x])[0]
-
-
 def verify_bases(f: SetFunctionOracle, xs) -> list[bool]:
-    """verify_base for each vector of xs, by one subset walk for all of them.
+    """Whether each vector of xs lies in the base polytope of f, exactly
+    (floats as binary rationals; a BaseVector must be over f.ground, a
+    sequence is read by position), by one subset walk for all of them.
 
     Vector k's slack at S, s_k(S) = c(S) - sign d x_k(S), is an int: d
     clears every denominator of x, sign is 1 for submodular f (x(S) <=

@@ -102,12 +102,12 @@ def edge_count_fn(g: MultiGraph) -> SetFunctionOracle:
         pos = {v: j for j, v in enumerate(elems)}
         into_base = [0] * len(elems)
         nbr = [[0] * (len(edges).bit_length() + 1) for _ in elems]
-        for u, v in edges:
-            for a, b in ((u, v), (v, u)):
-                if a in pos and b in base:
-                    into_base[pos[a]] += 1
-                elif a in pos and b in pos:
-                    layers, bit, k = nbr[pos[a]], 1 << pos[b], 0
+        for j, a in enumerate(elems):
+            for b in g.adjacency[a]:
+                if b in base:
+                    into_base[j] += 1
+                elif b in pos:
+                    layers, bit, k = nbr[j], 1 << pos[b], 0
                     while layers[k] & bit:  # one more parallel copy: carry
                         layers[k] ^= bit
                         k += 1
@@ -227,7 +227,7 @@ def dualize(f: SetFunctionOracle) -> SetFunctionOracle:
     if not (f.monotone and f.normalized):
         raise OracleFlagError("dualize requires a monotone, normalized oracle")
     full = f.ground_set
-    f_full = f.value(full)
+    f_full = f._eval(full)
     kind = SUPERMODULAR if f.kind == SUBMODULAR else SUBMODULAR
 
     def ev(s: frozenset[int]):
@@ -248,7 +248,7 @@ def contract(f: SetFunctionOracle, onto: Iterable[int]) -> SetFunctionOracle:
     a = frozenset(onto)
     if not a <= f.ground_set:
         raise ValueError("contraction set not within ground set")
-    f_a = f.value(a)
+    f_a = f._eval(a)
     rest = tuple(e for e in f.ground if e not in a)
 
     def ev(s: frozenset[int]):

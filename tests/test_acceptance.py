@@ -30,7 +30,7 @@ from densefw import (
     ideal_loads,
     lmo,
     tnw_ideal_loads,
-    verify_base,
+    verify_bases,
     supergreedy_pp,
     verify_decomposition_equivalence,
     weighted_supergreedy,
@@ -201,7 +201,7 @@ def test_criterion_07_density_vector_is_certified_and_lex_extreme():
             fns.append((f"{name}/rank", graphic_rank_fn(g)))
         for fname, f in fns:
             b = density_vector(f)
-            if not verify_base(f, b):
+            if not verify_bases(f, [b])[0]:
                 problems.append(f"{fname}: not a base")
                 continue
             if not certify_lex_optimal(f, b):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import k4, random_multigraph, single_edge, three_tier, tri_pendant, triangle
-from densefw import BaseVector, MultiGraph, curvature_bounds, edge_count_fn, peel, polytope, treepack, verify_base
+from densefw import BaseVector, MultiGraph, curvature_bounds, edge_count_fn, peel, polytope, treepack, verify_bases
 from densefw.errors import GroundSetTooLargeError
 from densefw.checks import (
     curvature_witness,
@@ -120,4 +120,4 @@ def test_orientation_rows_accepted_by_base_check():
     loads = integral_orientation_loads(g)
     assert all(isinstance(row, tuple) for row in loads)
     assert all(type(x) is int for row in loads for x in row)
-    assert all(verify_base(edge_count_fn(g), row) for row in loads)
+    assert all(verify_bases(edge_count_fn(g), [row])[0] for row in loads)

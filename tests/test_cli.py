@@ -306,6 +306,28 @@ class TestExitCodes:
         else:
             assert proc.stderr == ""
 
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="peak RSS is read from /proc/self/status")
+    def test_near_cap_refusals_peak_like_a_small_run(self, tmp_path, data_dir):
+        """supergreedypp, idealloads and treepack refuse the near-cap file
+        from g.n and g.m alone, before any n-sized oracle or union-find:
+        each child's own peak RSS (VmHWM, read at exit) is within 10 MB of
+        density on data/k4.el."""
+        child = ("import sys\nfrom densefw.cli import run\ncode = run(sys.argv[1:])\n"
+                 "with open('/proc/self/status') as fh:\n"
+                 "    print(next(line.split()[1] for line in fh if line.startswith('VmHWM:')), file=sys.stderr)\n"
+                 "sys.exit(code)\n")
+
+        def peak_mb(args, code):
+            proc = subprocess.run([sys.executable, "-c", child, *args], capture_output=True, text=True)
+            *errors, peak_kb = proc.stderr.splitlines()
+            assert (proc.returncode, len(errors)) == (code, 1 if code else 0)
+            return int(peak_kb) / 1024
+
+        floor = peak_mb(["density", str(data_dir / "k4.el")], 0)
+        path = write_graph(tmp_path, "nearcap.el", f"0 {VERTEX_CAP}\n")
+        for args in (["supergreedypp", "--iters", "1"], ["idealloads"], ["treepack", "--iters", "1"]):
+            assert peak_mb([*args, path], 3) < floor + 10, args
+
     def test_bad_iteration_count(self, capsys, data_dir):
         code, _, err = invoke(
             capsys, ["greedypp", "--iters", "0", str(data_dir / "triangle.el")])

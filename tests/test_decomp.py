@@ -38,7 +38,7 @@ from densefw import (
     graphic_rank_fn,
     lmo,
     supergreedy_pp,
-    verify_base,
+    verify_bases,
     verify_decomposition_equivalence,
     weighted_supergreedy,
 )
@@ -136,7 +136,7 @@ class TestDensestSet:
             assert x == empty
             assert [(type(r.objective), r.objective) for r in trace.records] == [(float, 0.0)] * 3
         assert decompose_supermodular(e).blocks == ()
-        assert verify_base(e, empty) and certify_lex_optimal(e, empty)
+        assert verify_bases(e, [empty])[0] and certify_lex_optimal(e, empty)
 
     def test_misdeclared_oracle_fails_loudly(self):
         rank_as_super = SetFunctionOracle(
@@ -324,10 +324,10 @@ class TestDensityVector:
     def test_is_always_a_base(self):
         for name, g in canonical_graphs():
             fe = edge_count_fn(g)
-            assert verify_base(fe, density_vector(fe)), name
+            assert verify_bases(fe, [density_vector(fe)])[0], name
             if g.m >= 1:
                 fr = graphic_rank_fn(g)
-                assert verify_base(fr, density_vector(fr)), name
+                assert verify_bases(fr, [density_vector(fr)])[0], name
 
     def test_deletion_values_telescope(self):
         for g in (p3(), triangle(), tri_pendant(), k4()):
@@ -615,7 +615,7 @@ class TestAgainstFrozensetReference:
                     [Fraction(rng.randint(0, 6), rng.randint(1, 3)) for _ in range(n)],
                     [float(v) + rng.uniform(-1e-3, 1e-3) for v in star.values],
                 ):
-                    assert verify_base(f, x) == ref_verify_base(f, x)
+                    assert verify_bases(f, [x])[0] == ref_verify_base(f, x)
 
     def test_misflagged_oracles_raise_as_before(self):
         raised = 0

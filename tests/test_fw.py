@@ -22,7 +22,7 @@ from densefw import (
     graphic_rank_fn,
     harmonic_bound,
     lmo,
-    verify_base,
+    verify_bases,
 )
 from densefw.cli import EXACT_ITERATION_CAP
 from densefw.errors import NumericalError
@@ -231,7 +231,7 @@ class TestFrankWolfe:
             f = edge_count_fn(g)
             for k in range(1, 21):
                 x, _ = orientation_qp(g, iterations=k, exact=True)
-                assert verify_base(f, x)
+                assert verify_bases(f, [x])[0]
 
     def test_standard_schedule_objective_bound(self):
         for g in (triangle(), tri_pendant(), k4()):

@@ -421,3 +421,20 @@ class TestMinimumSpanningTree:
 def test_is_connected():
     assert is_connected(triangle())
     assert not is_connected(MultiGraph(3, ((0, 1),)))
+
+
+def test_is_connected_counts_edges_before_union_find(monkeypatch):
+    """Fewer than n - 1 edges answer False without Kruskal; n - 1 edges or
+    more still ask it, so a cycle beside an isolated vertex is found
+    disconnected and a lone vertex connected."""
+    calls = []
+    kruskal = graph._kruskal
+    monkeypatch.setattr(graph, "_kruskal", lambda g, order: calls.append(g) or kruskal(g, order))
+    for g, connected, asks in [
+        (MultiGraph(6, ((0, 1), (1, 2), (0, 1))), False, False),  # m < n - 1, vertices 3 to 5 isolated
+        (MultiGraph(1, ()), True, True),  # n = 1, no edge: m = n - 1 = 0
+        (MultiGraph(4, ((0, 1), (1, 2), (2, 0))), False, True),  # m = n - 1, a triangle and vertex 3
+    ]:
+        calls.clear()
+        assert is_connected(g) is connected
+        assert calls == ([g] if asks else [])

@@ -31,7 +31,7 @@ from densefw import (
     edge_count_fn,
     graphic_rank_fn,
     supergreedy_pp,
-    verify_base,
+    verify_bases,
     weighted_supergreedy,
 )
 from densefw.errors import OracleFlagError
@@ -150,7 +150,7 @@ class TestWeightedGreedy:
         for u, v in g.edges:
             load[u if peel_pos[u] < peel_pos[v] else v] += 1
         assert tuple(load) == r.dhat.values
-        assert verify_base(edge_count_fn(g), r.dhat)
+        assert verify_bases(edge_count_fn(g), [r.dhat])[0]
 
     @settings(deadline=None, max_examples=30)
     @given(multigraphs())
@@ -308,7 +308,7 @@ class TestGreedyPP:
     def test_averaged_vector_is_a_base(self):
         f = edge_count_fn(three_tier())
         for k in range(1, 13):
-            assert verify_base(f, supergreedy_pp(f, k).x)
+            assert verify_bases(f, [supergreedy_pp(f, k).x])[0]
 
     def test_trace_fields(self):
         f = edge_count_fn(tri_pendant())

@@ -28,7 +28,6 @@ from densefw import (
     graphic_rank_fn,
     lmo,
     supergreedy_pp,
-    verify_base,
     verify_bases,
 )
 from densefw.errors import GroundSetTooLargeError, OracleFlagError
@@ -125,8 +124,8 @@ class TestLMOProperties:
         for _ in range(3):
             wv = [rng.randint(-5, 9) for _ in range(g.n)]
             we = [rng.randint(-5, 9) for _ in range(g.m)]
-            assert verify_base(fe, lmo(fe, wv))
-            assert verify_base(fr, lmo(fr, we))
+            assert verify_bases(fe, [lmo(fe, wv)])[0]
+            assert verify_bases(fr, [lmo(fr, we)])[0]
 
     def test_minimizes_over_enumerated_vertices(self):
         rng = random.Random(29)
@@ -187,23 +186,23 @@ class TestEnumerateBaseVertices:
 class TestVerifyBase:
     def test_uniform_point_of_triangle_rank(self):
         f = graphic_rank_fn(triangle())
-        assert verify_base(f, (Fraction(2, 3),) * 3)
+        assert verify_bases(f, [(Fraction(2, 3),) * 3])[0]
 
     def test_concentrated_point_violates_pair_constraint(self):
         f = edge_count_fn(triangle())
-        assert not verify_base(f, (3, 0, 0))
+        assert not verify_bases(f, [(3, 0, 0)])[0]
 
     def test_zero_vector_fails_when_total_positive(self):
-        assert not verify_base(edge_count_fn(triangle()), (0, 0, 0))
+        assert not verify_bases(edge_count_fn(triangle()), [(0, 0, 0)])[0]
 
     def test_wrong_total_fails(self):
-        assert not verify_base(edge_count_fn(triangle()), (2, 2, 0))
+        assert not verify_bases(edge_count_fn(triangle()), [(2, 2, 0)])[0]
 
     def test_negative_coordinate_fails(self):
-        assert not verify_base(edge_count_fn(triangle()), (4, -1, 0))
+        assert not verify_bases(edge_count_fn(triangle()), [(4, -1, 0)])[0]
 
     def test_float_just_off_the_polytope_fails(self):
-        assert not verify_base(graphic_rank_fn(triangle()), (0.6666666666666666,) * 3)
+        assert not verify_bases(graphic_rank_fn(triangle()), [(0.6666666666666666,) * 3])[0]
 
     def test_base_vector_is_read_by_its_ground(self, data_dir):
         """The density vector with its ground listed in reverse names another
@@ -214,9 +213,9 @@ class TestVerifyBase:
         b = density_vector(f)
         reversed_ground = BaseVector(b.ground[::-1], b.values)
         named = BaseVector(b.ground, b.values[::-1])  # the vector reversed_ground names
-        assert verify_base(f, b) and certify_lex_optimal(f, b)
-        assert not verify_base(f, named) and not certify_lex_optimal(f, named)
-        for check in (verify_base, certify_lex_optimal, lambda f, x: verify_bases(f, [b, x])):
+        assert verify_bases(f, [b])[0] and certify_lex_optimal(f, b)
+        assert not verify_bases(f, [named])[0] and not certify_lex_optimal(f, named)
+        for check in (lambda f, x: verify_bases(f, [x])[0], certify_lex_optimal, lambda f, x: verify_bases(f, [b, x])):
             with pytest.raises(ValueError, match="vector ground differs from the oracle's ground"):
                 check(f, reversed_ground)
         with pytest.raises(ValueError, match="reference ground differs from the LMO's ground"):
@@ -228,7 +227,7 @@ class TestVerifyBase:
 
         f = edge_count_fn(MultiGraph(21, ()))
         with pytest.raises(GroundSetTooLargeError):
-            verify_base(f, (0,) * 21)
+            verify_bases(f, [(0,) * 21])[0]
 
 
 class TestVerifyBases:
@@ -247,8 +246,8 @@ class TestVerifyBases:
             f = edge_count_fn(g)
             rows = sorted({Orientation.from_mask(g, mask).induced_load(g).values for mask in range(1 << g.m)})
             nudged = [row[:-2] + (row[-2] + 1, row[-1] - 1) for row in rows]
-            assert verify_bases(f, rows) == [verify_base(f, r) for r in rows] == [True] * len(rows)
-            assert verify_bases(f, nudged) == [verify_base(f, r) for r in nudged]
+            assert verify_bases(f, rows) == [verify_bases(f, [r])[0] for r in rows] == [True] * len(rows)
+            assert verify_bases(f, nudged) == [verify_bases(f, [r])[0] for r in nudged]
 
     def test_perturbed_vectors_match_per_vector_scans(self):
         rng = random.Random(67)
@@ -267,7 +266,7 @@ class TestVerifyBases:
                         x[j] -= d
                     xs.append(x)
                 got = verify_bases(f, xs)
-                assert got == [verify_base(f, x) for x in xs] == [ref_verify_base(f, x) for x in xs]
+                assert got == [verify_bases(f, [x])[0] for x in xs] == [ref_verify_base(f, x) for x in xs]
                 based += sum(got)
                 total += len(got)
         assert total >= 300 and 0.2 < based / total < 0.8
@@ -332,7 +331,7 @@ class TestVerifyBases:
         fe, fr = edge_count_fn(three_tier()), graphic_rank_fn(three_tier())
         for f in (fe, fr, dualize(fr)):
             cf, asked = counted(f)
-            assert verify_base(cf, lmo(f, range(len(f.ground))))
+            assert verify_bases(cf, [lmo(f, range(len(f.ground)))])[0]
             assert asked == [f.ground_set, frozenset()]
 
     def test_all_violated_vectors_stop_the_walk(self):
@@ -387,7 +386,7 @@ class TestOrientation:
             g = random_multigraph(rng, n_max=6, m_max=8)
             f = edge_count_fn(g)
             mask = rng.randrange(1 << g.m)
-            assert verify_base(f, Orientation.from_mask(g, mask).induced_load(g))
+            assert verify_bases(f, [Orientation.from_mask(g, mask).induced_load(g)])[0]
 
     def test_every_vertex_is_an_integral_orientation_load(self):
         for g in (triangle(), star(), tri_pendant()):

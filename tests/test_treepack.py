@@ -31,7 +31,7 @@ from densefw import (
     lmo,
     tnw_ideal_loads,
     tnw_strength,
-    verify_base,
+    verify_bases,
 )
 from densefw.errors import DisconnectedGraphError, GroundSetTooLargeError
 from densefw.treepack import PARTITION_CAP, _min_partition, _tnw
@@ -78,7 +78,7 @@ class TestIdealLoads:
         for g in graphs:
             loads = ideal_loads(g)
             assert sum(loads.values) == g.n - 1
-            assert verify_base(graphic_rank_fn(g), loads)
+            assert verify_bases(graphic_rank_fn(g), [loads])[0]
 
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedGraphError):

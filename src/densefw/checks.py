@@ -23,8 +23,7 @@ _ORIENTATION_CAP = 10  # largest edge set integral_orientation_loads enumerates
 
 def integral_orientation_loads(g: MultiGraph) -> list[tuple[int, ...]]:
     """Loads of all 2^m integral orientations, one row per orientation."""
-    if g.m > _ORIENTATION_CAP:
-        raise GroundSetTooLargeError(f"orientation enumeration limited to {_ORIENTATION_CAP} edges, got {g.m}")
+    GroundSetTooLargeError.check("orientation enumeration", g.m, _ORIENTATION_CAP, "edges")
     return [polytope.Orientation.from_mask(g, mask).induced_load(g).values for mask in range(1 << g.m)]
 
 

@@ -133,6 +133,7 @@ def _trace(ns: argparse.Namespace, trace) -> int:
 def _cmd_density(ns: argparse.Namespace, g: MultiGraph) -> dict:
     from . import decomp
 
+    GroundSetTooLargeError.check("subset enumeration", g.n, setfn.ENUM_CAP)  # walk's refusal, before the oracle
     best, dens = decomp.densest_set_bruteforce(setfn.edge_count_fn(g))
     return {"set": sorted(best), "density": str(dens)}
 
@@ -141,6 +142,7 @@ def _cmd_decompose(ns: argparse.Namespace, g: MultiGraph) -> dict:
     from . import decomp
 
     if ns.variant == "sup":
+        GroundSetTooLargeError.check("subset enumeration", g.n, setfn.ENUM_CAP)  # as in _cmd_density
         f = setfn.edge_count_fn(g)
         dec = decomp.decompose_supermodular(f)
     else:
@@ -171,8 +173,7 @@ def _cmd_greedypp(ns: argparse.Namespace, g: MultiGraph) -> dict:
 
 def _cmd_supergreedypp(ns: argparse.Namespace, g: MultiGraph) -> dict:
     size = g.n if ns.fn == "edges" else g.m  # the ground set's, checked before the oracle is built
-    if size > SUPERGREEDY_CAP:
-        raise GroundSetTooLargeError(f"supermodular peeling limited to {SUPERGREEDY_CAP} elements, got {size}")
+    GroundSetTooLargeError.check("supermodular peeling", size, SUPERGREEDY_CAP)
     return _peel_run(ns, setfn.edge_count_fn(g) if ns.fn == "edges" else setfn.dualize(setfn.graphic_rank_fn(g)))
 
 

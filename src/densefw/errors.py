@@ -24,6 +24,12 @@ class DisconnectedGraphError(ValueError):
 class GroundSetTooLargeError(ValueError):
     """Exhaustive enumeration requested beyond the supported ground-set size."""
 
+    @classmethod
+    def check(cls, what: str, size: int, cap: int, unit: str = "elements") -> None:
+        """Raise "<what> limited to <cap> <unit>, got <size>" if size > cap: every cap's one refusal."""
+        if size > cap:
+            raise cls(f"{what} limited to {cap} {unit}, got {size}")
+
 
 class OracleFlagError(ValueError):
     """A set-function oracle does not carry the flags an operation requires."""

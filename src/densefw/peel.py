@@ -45,7 +45,7 @@ class PeelResult(Record):
 
 def weighted_supergreedy(f: SetFunctionOracle, w: Sequence) -> PeelResult:
     """Peel argmin w(u) + f(u | rest) from a supermodular oracle, ties to
-    the smaller element; the final element records f of its own singleton.
+    the smaller position; the final element records f of its own singleton.
     With f's `_peel` hook a round is one lazy-heap pass; without it a round
     asks O(n^2) marginals, each one gain from f's `_gains` hook (O(1)
     amortized for both graph oracles and their duals) or, without that
@@ -78,18 +78,17 @@ def _supergreedy(f: SetFunctionOracle):
         gain, full = (lambda mask, j: value(mask | 1 << j) - value(mask)), value((1 << n) - 1)
     else:
         gain, full = f._gains(ground, frozenset()), f._eval(frozenset(ground))
-    by_element = sorted(range(n), key=ground.__getitem__)
 
     def peel(w: Sequence) -> PeelResult:
         left = full  # f of the set still in, by telescoping
         mask = (1 << n) - 1
-        rest = by_element[:]  # positions still in, in element order
+        rest = list(range(n))  # positions still in, in ground order
         order: list[int] = []
         dhat: list = [0] * n
         while len(rest) > 1:
             margs = [gain(mask ^ 1 << p, p) for p in rest]
             keys = [w[p] + d for p, d in zip(rest, margs)]
-            i = keys.index(min(keys))  # the first minimum: ties to the smaller element
+            i = keys.index(min(keys))  # the first minimum: ties to the smaller position
             p = rest.pop(i)
             order.append(p)
             dhat[p] = margs[i]

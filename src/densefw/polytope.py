@@ -3,7 +3,7 @@
 For submodular f the base polytope is {x >= 0 : x(S) <= f(S), x(V) = f(V)};
 for supermodular f the inequalities flip. Linear minimization over either
 one is the classic greedy: sort the ground set by weight ascending (ties by
-element index) and hand out marginals along the resulting chain of sets --
+ground position) and hand out marginals along the resulting chain of sets --
 prefixes for the submodular case, suffixes for the supermodular case. Both
 variants put the large marginals on the light elements, which is what makes
 the dot product minimal; the spanning-tree instance of the submodular case
@@ -69,13 +69,13 @@ def _chain(f: SetFunctionOracle, order) -> tuple:
 def lmo(f: SetFunctionOracle, w: Sequence) -> BaseVector:
     """Greedy vertex of the base polytope minimizing <s, w> (Edmonds).
 
-    Sort by (w_i, index) ascending and hand out marginals along prefixes
-    (submodular f) or suffixes (supermodular f: each element's marginal
-    against everything heavier), so light elements receive the large
-    marginals. Scale-invariant in w. The marginals come from f's `_chain`
-    hook when it has one (O(m) for both graph oracles and their duals),
-    otherwise from n + 1 evaluations. For edge count the answer is the
-    load of the cheapest orientation, each edge charged to its lighter
+    Sort by (w_i, ground position) ascending and hand out marginals along
+    prefixes (submodular f) or suffixes (supermodular f: each element's
+    marginal against everything heavier), so light elements receive the
+    large marginals. Scale-invariant in w. The marginals come from f's
+    `_chain` hook when it has one (O(m) for both graph oracles and their
+    duals), otherwise from n + 1 evaluations. For edge count the answer is
+    the load of the cheapest orientation, each edge charged to its lighter
     endpoint; for graphic rank it marks the minimum spanning tree.
     """
     if not f.normalized:
@@ -83,7 +83,7 @@ def lmo(f: SetFunctionOracle, w: Sequence) -> BaseVector:
     n = len(f.ground)
     if len(w) != n:
         raise ValueError(f"expected {n} weights, got {len(w)}")
-    order = sorted(range(n), key=w.__getitem__)  # stable: ties stay in index order
+    order = sorted(range(n), key=w.__getitem__)  # stable: ties stay in ground order
     return BaseVector(f.ground, _chain(f, order) if f._chain is None else f._chain(order))
 
 
@@ -94,8 +94,7 @@ def enumerate_base_vertices(f: SetFunctionOracle) -> list[BaseVector]:
     """All extreme points of the base polytope via greedy over every
     permutation, deduplicated; deterministic (sorted) output order."""
     n = len(f.ground)
-    if n > VERTEX_ENUM_CAP:
-        raise GroundSetTooLargeError(f"vertex enumeration limited to {VERTEX_ENUM_CAP} elements, got {n}")
+    GroundSetTooLargeError.check("vertex enumeration", n, VERTEX_ENUM_CAP)
     seen = {_chain(f, perm) for perm in permutations(range(n))}
     return [BaseVector(f.ground, v) for v in sorted(seen)]
 
@@ -131,7 +130,7 @@ def verify_bases(f: SetFunctionOracle, xs) -> list[bool]:
     qs = [_exact(f, x) for x in xs]
     if any(len(q) != len(f.ground) for q in qs):
         raise ValueError("vector length mismatch")
-    full = f._eval(f.ground_set)
+    full = f._eval(frozenset(f.ground))
     ok = [all(v >= 0 for v in q) and sum(q) == full for q in qs]
     live = [k for k in range(len(qs)) if ok[k]]
     if not live:

@@ -65,13 +65,9 @@ class SetFunctionOracle(Record):
         Record.__init__(self, ground, kind, monotone, normalized, _eval)
         self.__dict__.update(_gains=_gains, _chain=_chain, _peel=_peel)
 
-    @property
-    def ground_set(self) -> frozenset[int]:
-        return frozenset(self.ground)
-
     def value(self, subset: Iterable[int]) -> Fraction | int:
         s = frozenset(subset)
-        if not s <= self.ground_set:
+        if not s.issubset(self.ground):
             raise ValueError(f"subset {sorted(s)} not within ground set")
         return self._eval(s)
 
@@ -81,7 +77,7 @@ class SetFunctionOracle(Record):
         s = frozenset(base)
         if v in s:
             raise ValueError(f"element {v} already in the base set")
-        if v not in self.ground_set:
+        if v not in self.ground:
             raise ValueError(f"element {v} not in ground set")
         before = self.value(s)  # refuses a base outside the ground set
         return self._eval(s | {v}) - before
@@ -226,7 +222,7 @@ def dualize(f: SetFunctionOracle) -> SetFunctionOracle:
     """
     if not (f.monotone and f.normalized):
         raise OracleFlagError("dualize requires a monotone, normalized oracle")
-    full = f.ground_set
+    full = frozenset(f.ground)
     f_full = f._eval(full)
     kind = SUPERMODULAR if f.kind == SUBMODULAR else SUBMODULAR
 
@@ -246,7 +242,7 @@ def dualize(f: SetFunctionOracle) -> SetFunctionOracle:
 def contract(f: SetFunctionOracle, onto: Iterable[int]) -> SetFunctionOracle:
     """Contraction f_A(X) = f(X + A) - f(A) on ground \\ A. Keeps kind and `_gains`, not `_chain` or `_peel`."""
     a = frozenset(onto)
-    if not a <= f.ground_set:
+    if not a.issubset(f.ground):
         raise ValueError("contraction set not within ground set")
     f_a = f._eval(a)
     rest = tuple(e for e in f.ground if e not in a)
@@ -261,7 +257,7 @@ def contract(f: SetFunctionOracle, onto: Iterable[int]) -> SetFunctionOracle:
 def restrict(f: SetFunctionOracle, keep: Iterable[int]) -> SetFunctionOracle:
     """Restriction of f to subsets of `keep`. Keeps all flags and `_gains`, not `_chain` or `_peel`."""
     k = frozenset(keep)
-    if not k <= f.ground_set:
+    if not k.issubset(f.ground):
         raise ValueError("restriction set not within ground set")
     kept = tuple(e for e in f.ground if e in k)
     return SetFunctionOracle(kept, f.kind, f.monotone, f.normalized, f._eval, f._gains)
@@ -272,7 +268,7 @@ def nn_sum(a, f: SetFunctionOracle, b, g: SetFunctionOracle) -> SetFunctionOracl
     a, b = Fraction(a), Fraction(b)
     if a < 0 or b < 0:
         raise ValueError("coefficients must be nonnegative")
-    if f.ground_set != g.ground_set:
+    if set(f.ground) != set(g.ground):
         raise ValueError("ground-set mismatch")
     if f.kind != g.kind:
         raise OracleFlagError("nn_sum operands must have the same kind")
@@ -297,8 +293,7 @@ def walk(f: SetFunctionOracle):
     evaluated on one frozenset changed by one element per step. Above
     ENUM_CAP elements it raises when called, before any mask is built or the
     oracle is asked anything."""
-    if len(f.ground) > ENUM_CAP:
-        raise GroundSetTooLargeError(f"subset enumeration limited to {ENUM_CAP} elements, got {len(f.ground)}")
+    GroundSetTooLargeError.check("subset enumeration", len(f.ground), ENUM_CAP)
     return _gray(f)
 
 
@@ -328,8 +323,7 @@ CHECK_CAP = 8  # largest ground set check_kind and check_monotone accept
 
 def _check_table(f: SetFunctionOracle, check: str) -> dict:
     """f's value at every int mask, for an exhaustive check of at most CHECK_CAP elements."""
-    if len(f.ground) > CHECK_CAP:
-        raise GroundSetTooLargeError(f"{check} check limited to {CHECK_CAP} elements, got {len(f.ground)}")
+    GroundSetTooLargeError.check(f"{check} check", len(f.ground), CHECK_CAP)
     return {mask: v for mask, _, v in walk(f)}
 
 

@@ -60,8 +60,7 @@ def _min_partition(g: MultiGraph, edge_ids) -> tuple[Fraction, list[tuple[int, i
     smallest vertex."""
     verts = sorted({v for i in edge_ids for v in g.edges[i]})
     n = len(verts)
-    if n > PARTITION_CAP:
-        raise GroundSetTooLargeError(f"partition enumeration limited to {PARTITION_CAP} vertices, got {n}")
+    GroundSetTooLargeError.check("partition enumeration", n, PARTITION_CAP, "vertices")
     local = {v: i for i, v in enumerate(verts)}
     ends = [(local[g.edges[i][0]], local[g.edges[i][1]]) for i in edge_ids]
     earlier: list[list[int]] = [[] for _ in range(n)]  # earlier[v]: the end below v of each edge at v

@@ -147,7 +147,7 @@ def test_criterion_04_peel_is_an_additive_approximate_oracle():
         n = len(f.ground)
         w = [rng2.randint(0, 15) for _ in range(n)]
         err = n * sum(
-            f.marginal(u, f.ground_set - {u}) ** 2 for u in f.ground
+            f.marginal(u, frozenset(f.ground) - {u}) ** 2 for u in f.ground
         )
         dhat = weighted_supergreedy(f, w).dhat
         dstar = lmo(f, w)

@@ -279,10 +279,10 @@ class TestExitCodes:
              "fw-qp"],
     )
     def test_near_cap_vertex_id(self, tmp_path, args, code, out):
-        """An id of exactly graph.VERTEX_CAP parses, giving 10^6 + 1
-        vertices. The subset walk refuses that ground set before it builds
-        any mask, and the connectivity and Super-Greedy++ checks refuse it
-        before their work, all under the 1 GiB child limit; sub-del scans
+        """An id of exactly graph.VERTEX_CAP parses, giving 10^6 + 1 vertices.
+        density and decompose refuse that ground set from g.n before the
+        oracle is built, and the connectivity and Super-Greedy++ checks refuse
+        it before their work, all under the 1 GiB child limit; sub-del scans
         the one-edge ground set. One Greedy++ round peels all 10^6 + 1
         vertices in about 2 s at about 150 MB peak RSS, and one fw-qp step
         prints its 12.9 MB iterate in about 3 s at about 250 MB. verify is
@@ -308,10 +308,11 @@ class TestExitCodes:
 
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="peak RSS is read from /proc/self/status")
     def test_near_cap_refusals_peak_like_a_small_run(self, tmp_path, data_dir):
-        """supergreedypp, idealloads and treepack refuse the near-cap file
-        from g.n and g.m alone, before any n-sized oracle or union-find:
-        each child's own peak RSS (VmHWM, read at exit) is within 10 MB of
-        density on data/k4.el."""
+        """supergreedypp, idealloads, treepack, density and decompose refuse
+        the near-cap file from g.n and g.m alone, before any n-sized oracle
+        or union-find: each child's own peak RSS (VmHWM, read at exit) is
+        within 10 MB of density on data/k4.el, and its one stderr line is
+        the refusal's."""
         child = ("import sys\nfrom densefw.cli import run\ncode = run(sys.argv[1:])\n"
                  "with open('/proc/self/status') as fh:\n"
                  "    print(next(line.split()[1] for line in fh if line.startswith('VmHWM:')), file=sys.stderr)\n"
@@ -321,12 +322,23 @@ class TestExitCodes:
             proc = subprocess.run([sys.executable, "-c", child, *args], capture_output=True, text=True)
             *errors, peak_kb = proc.stderr.splitlines()
             assert (proc.returncode, len(errors)) == (code, 1 if code else 0)
-            return int(peak_kb) / 1024
+            return int(peak_kb) / 1024, errors
 
-        floor = peak_mb(["density", str(data_dir / "k4.el")], 0)
+        floor, _ = peak_mb(["density", str(data_dir / "k4.el")], 0)
         path = write_graph(tmp_path, "nearcap.el", f"0 {VERTEX_CAP}\n")
-        for args in (["supergreedypp", "--iters", "1"], ["idealloads"], ["treepack", "--iters", "1"]):
-            assert peak_mb([*args, path], 3) < floor + 10, args
+        enum = f"error: subset enumeration limited to 20 elements, got {VERTEX_CAP + 1}"
+        disconnected = "error: tree packing needs a connected graph"
+        for args, error in (
+            (["supergreedypp", "--iters", "1"],
+             f"error: supermodular peeling limited to {SUPERGREEDY_CAP} elements, got {VERTEX_CAP + 1}"),
+            (["idealloads"], disconnected),
+            (["treepack", "--iters", "1"], disconnected),
+            (["density"], enum),
+            (["decompose"], enum),
+        ):
+            peak, errors = peak_mb([*args, path], 3)
+            assert errors == [error], args
+            assert peak < floor + 10, args
 
     def test_bad_iteration_count(self, capsys, data_dir):
         code, _, err = invoke(

@@ -554,7 +554,7 @@ def ref_verify_base(f, x):
     q = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in vals]
     if any(v < 0 for v in q):
         return False
-    if sum(q) != f._eval(f.ground_set):
+    if sum(q) != f._eval(frozenset(f.ground)):
         return False
     x_of = dict(zip(f.ground, q))
     for s in ref_subsets(f.ground):

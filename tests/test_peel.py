@@ -225,6 +225,16 @@ class TestWeightedSupergreedy:
                 got = weighted_supergreedy(h, w)
                 assert (got.order, got.dhat) == (want.order, want.dhat)
 
+    def test_every_peel_ties_to_the_smaller_ground_position(self):
+        """On an unsorted ground with every key tied, the heap, the gains
+        scan and the value scan all peel in ground order, not element order."""
+        f = SetFunctionOracle((2, 0, 1), SUPERMODULAR, True, True, len,
+                              _gains=lambda elems, base: lambda mask, j: 1,
+                              _peel=lambda: ([1, 1, 1], [[], [], []]))
+        for h in (f, without_hooks(f, "_gains"), without_hooks(f)):
+            got = weighted_supergreedy(h, [0, 0, 0])
+            assert (got.order, got.dhat) == ((2, 0, 1), BaseVector((2, 0, 1), (1, 1, 1)))
+
     def test_marginals_telescope_to_full_value(self):
         f = contract(edge_count_fn(three_tier()), {0})
         r = weighted_supergreedy(f, [0] * len(f.ground))

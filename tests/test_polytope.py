@@ -332,7 +332,7 @@ class TestVerifyBases:
         for f in (fe, fr, dualize(fr)):
             cf, asked = counted(f)
             assert verify_bases(cf, [lmo(f, range(len(f.ground)))])[0]
-            assert asked == [f.ground_set, frozenset()]
+            assert asked == [frozenset(f.ground), frozenset()]
 
     def test_all_violated_vectors_stop_the_walk(self):
         """Every vector is violated at {0}, the walk's first nonempty set, so

@@ -278,9 +278,10 @@ class TestSubsets:
         f = SetFunctionOracle(
             tuple(range(21)), SUPERMODULAR, True, True,
             lambda s: asked.append(s) or 0, lambda elems, base: asked.append(elems))
-        with pytest.raises(GroundSetTooLargeError):
+        refusal = "^subset enumeration limited to 20 elements, got 21$"
+        with pytest.raises(GroundSetTooLargeError, match=refusal):
             walk(f)
-        with pytest.raises(GroundSetTooLargeError):
+        with pytest.raises(GroundSetTooLargeError, match=refusal):
             walk(edge_count_fn(MultiGraph(21, ((0, 20),))))
         assert asked == []
 

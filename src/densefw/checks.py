@@ -66,7 +66,7 @@ def run_instance_checks(g: MultiGraph, seed: int = 0) -> list[CheckResult]:
         dual = setfn.dualize(f_rank)
         back = setfn.dualize(dual)
         pairs = zip(setfn.walk(back), setfn.walk(f_rank))
-        add("dualize_involution", all(vb == vf for (_, _, vb), (_, _, vf) in pairs))
+        add("dualize_involution", all(vb == vf for (_, vb), (_, vf) in pairs))
 
     if g.n <= setfn.ENUM_CAP:
         trials = [polytope.lmo(f_edges, [rng.randint(0, 12) for _ in range(g.n)]) for _ in range(5)]

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DegenerateDecompositionError, OracleFlagError, Record
+from .errors import OracleFlagError, Record
 from .polytope import BaseVector, _exact, lmo
 from .setfn import SUBMODULAR, SUPERMODULAR, SetFunctionOracle, contract, dualize, restrict, walk
 
@@ -67,7 +67,8 @@ def _densest(h: SetFunctionOracle) -> tuple[frozenset[int], Fraction]:
     maximizer itself, and that is re-checked so a mis-flagged oracle fails
     loudly instead of silently."""
     num, den, union = 0, 0, 0  # best density num / den, compared by cross-multiplying; den == 0 at first
-    for mask, size, value in walk(h):
+    for mask, value in walk(h):
+        size = mask.bit_count()
         if not size:
             continue
         c = value * den - num * size
@@ -129,7 +130,8 @@ def decompose_submodular_deletion(f: SetFunctionOracle) -> DenseDecomposition:
     ratios: list[Fraction] = []
     while cur:
         num, den, inter = 0, 0, 0  # least ratio num / den; den == 0 before the first
-        for mask, size, fs in scan:
+        for mask, fs in scan:
+            size = mask.bit_count()
             if size == len(cur) or fs >= f_cur:
                 continue
             c = (len(cur) - size) * den - num * (f_cur - fs)
@@ -137,10 +139,8 @@ def decompose_submodular_deletion(f: SetFunctionOracle) -> DenseDecomposition:
                 num, den, inter = len(cur) - size, f_cur - fs, mask
             elif c == 0:
                 inter &= mask
-        if not den:
-            raise DegenerateDecompositionError(
-                "no proper subset drops the value; f(V') = f(S) everywhere"
-            )
+        if not den:  # unreachable under true flags: f(cur) >= f({v}) > 0 = f(empty set)
+            raise OracleFlagError("no proper subset drops the value; f(V') = f(S) everywhere")
         best = Fraction(num, den)
         core = frozenset(e for j, e in enumerate(cur) if inter >> j & 1)
         f_core = f._eval(core)

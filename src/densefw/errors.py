@@ -35,11 +35,6 @@ class OracleFlagError(ValueError):
     """A set-function oracle does not carry the flags an operation requires."""
 
 
-class DegenerateDecompositionError(ValueError):
-    """Deletion-variant decomposition hit a zero denominator (f(V) = f(S) for
-    every proper S), which cannot happen for oracles meeting the preconditions."""
-
-
 class NumericalError(ArithmeticError):
     """Non-finite values appeared in a floating-point iterate."""
 

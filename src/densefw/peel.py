@@ -36,8 +36,8 @@ from .setfn import SUPERMODULAR, SetFunctionOracle
 
 
 class PeelResult(Record):
-    """One peeling pass: removal order and recorded marginals (a base
-    vector); dhat summed over order[i:] is f of that suffix."""
+    """One peeling pass: removal order, as elements, and recorded marginals
+    (a base vector); dhat summed over order[i:] is f of that suffix."""
 
     order: tuple[int, ...]
     dhat: BaseVector
@@ -49,19 +49,21 @@ def weighted_supergreedy(f: SetFunctionOracle, w: Sequence) -> PeelResult:
     With f's `_peel` hook a round is one lazy-heap pass; without it a round
     asks O(n^2) marginals, each one gain from f's `_gains` hook (O(1)
     amortized for both graph oracles and their duals) or, without that
-    hook either, one new evaluation. Only here is w's length checked:
-    supergreedy_pp peels with its own sums, one per element."""
+    hook either, one new evaluation. Only here is w checked, for length and
+    finite values: supergreedy_pp peels with its own sums, one per element."""
     peel, n = _supergreedy(f), len(f.ground)
     if len(w) != n:
         raise ValueError(f"expected {n} weights, got {len(w)}")
-    pr = peel(w)
-    return PeelResult(tuple(map(f.ground.__getitem__, pr.order)), pr.dhat)
+    if bad := [i for i, x in enumerate(w) if not -math.inf < x < math.inf]:  # NaN compares false
+        raise ValueError(f"weight {bad[0]} is {w[bad[0]]}, not a finite number")
+    order, dhat = peel(w)
+    return PeelResult(tuple(map(f.ground.__getitem__, order)), BaseVector(f.ground, dhat))
 
 
 def _supergreedy(f: SetFunctionOracle):
-    """weighted_supergreedy as a peel of w alone, for a whole run, whose
-    order lists positions of f.ground: the heap peel for an oracle with a
-    `_peel` hook, else the scan, whose gain function,
+    """weighted_supergreedy as a peel of w alone, for a whole run, giving
+    (order, dhat) as lists over positions of f.ground: the heap peel for an
+    oracle with a `_peel` hook, else the scan, whose gain function,
     gain(mask, j) = f(S + j) - f(S) over those positions, and f(ground) are
     built once. The gain is f's own `_gains` hook, or for an oracle without
     one the difference of two values. For a dual oracle every candidate of
@@ -79,7 +81,7 @@ def _supergreedy(f: SetFunctionOracle):
     else:
         gain, full = f._gains(ground, frozenset()), f._eval(frozenset(ground))
 
-    def peel(w: Sequence) -> PeelResult:
+    def peel(w: Sequence) -> tuple[list[int], list]:
         left = full  # f of the set still in, by telescoping
         mask = (1 << n) - 1
         rest = list(range(n))  # positions still in, in ground order
@@ -97,19 +99,20 @@ def _supergreedy(f: SetFunctionOracle):
         if rest:
             order.append(rest[0])
             dhat[rest[0]] = left  # f({u}): keeps the totals at f(V)
-        return PeelResult(tuple(order), BaseVector(ground, tuple(dhat)))
+        return order, dhat
 
     return peel
 
 
-def _heap_peel(f: SetFunctionOracle, w: Sequence) -> PeelResult:
+def _heap_peel(f: SetFunctionOracle, w: Sequence) -> tuple[list[int], list[int]]:
     """The peel of an oracle with a `_peel` hook, ties to the smaller
-    position. Lazy binary heap of one int per entry, key * n + u with
-    key = w(u) + marginal(u): as 0 <= u < n, these ints order like (key, u).
-    An entry is stale when it differs from the position's live one, which
-    is None once the position is peeled. Int weights are used as they are;
-    any others (Fractions, finite floats) are scaled to ints by their
-    common denominator d, which scales every key and every fall by d."""
+    position, as (order, dhat) over positions. Lazy binary heap of one int
+    per entry, key * n + u with key = w(u) + marginal(u): as 0 <= u < n,
+    these ints order like (key, u). An entry is stale when it differs from
+    the position's live one, which is None once the position is peeled. Int
+    weights are used as they are; any others (Fractions, finite floats) are
+    scaled to ints by their common denominator d, which scales every key and
+    every fall by d."""
     n = len(f.ground)
     marg, falls = f._peel()
     d = 1
@@ -138,7 +141,7 @@ def _heap_peel(f: SetFunctionOracle, w: Sequence) -> PeelResult:
                 push(heap, live[x])
     if d > 1:
         dhat = [v // d for v in dhat]
-    return PeelResult(tuple(order), BaseVector(f.ground, tuple(dhat)))
+    return order, dhat
 
 
 class GreedyPPResult(Record):
@@ -172,17 +175,16 @@ def supergreedy_pp(f: SetFunctionOracle, iterations: int, ref=None,
 
     def lmo(w) -> BaseVector:
         nonlocal num, den, best_set
-        pr = peel_once(w)
-        dhat = pr.dhat.values
+        order, dhat = peel_once(w)
         left, best_i = sum(dhat), None  # f(ground), as the marginals telescope
         # left is f(order[i:]); compare left/(n-i) with num/den by cross-multiplying
-        for i, p in enumerate(pr.order):
+        for i, p in enumerate(order):
             if not den or left * den > num * (n - i):
                 num, den, best_i = left, n - i, i
             left -= dhat[p]
         if best_i is not None:
-            best_set = frozenset(map(f.ground.__getitem__, pr.order[best_i:]))
-        return pr.dhat
+            best_set = frozenset(map(f.ground.__getitem__, order[best_i:]))
+        return BaseVector(f.ground, dhat)
 
     x, trace = frank_wolfe(lmo, (0,) * n, exact=True, iterations=iterations, ref=ref, stop_dist=stop_dist)
     return GreedyPPResult(best_set, Fraction(num, den), x, trace)

@@ -143,12 +143,12 @@ def verify_bases(f: SetFunctionOracle, xs) -> list[bool]:
     w = (2 * t + 1).bit_length() + 1  # 2^(w-1) > 2t + 1: fields stay in [1, 2^w)
     ones = sum(1 << w * i for i in range(len(live)))
     step = {1 << j: sum(row[j] << w * i for i, row in enumerate(rows)) for j in range(len(f.ground))}
-    _, _, f0 = next(scan)  # the empty set comes first and carries no constraint
+    _, f0 = next(scan)  # the empty set comes first and carries no constraint
     prev_c = min(max(math.floor(scale * f0), lo), t)
     packed = (prev_c + (1 << w - 1)) * ones
     alive = ones << w - 1  # the top bits of the fields not yet violated
     prev = 0
-    for mask, _, fs in scan:
+    for mask, fs in scan:
         bit = mask ^ prev
         prev = mask
         packed -= step[bit] if mask & bit else -step[bit]

@@ -285,7 +285,7 @@ ENUM_CAP = 20  # largest ground set any exhaustive subset scan accepts
 
 
 def walk(f: SetFunctionOracle):
-    """Every subset S of f.ground as (mask, |S|, f(S)), lazily, in Gray-code
+    """Every subset S of f.ground as (mask, f(S)), lazily, in Gray-code
     order from the empty set: bit j of mask stands for f.ground[j], and
     consecutive masks differ in one bit. Walk `restrict(f, ...)` or
     `contract(f, ...)` to scan part of a ground set. Memory is constant: an
@@ -301,8 +301,8 @@ def _gray(f: SetFunctionOracle):
     elems = f.ground
     gain = None if f._gains is None else f._gains(elems, frozenset())
     flip = [frozenset([e]) for e in elems]
-    s, mask, size, value = frozenset(), 0, 0, f._eval(frozenset())
-    yield mask, size, value
+    s, mask, value = frozenset(), 0, f._eval(frozenset())
+    yield mask, value
     for i in range(1, 1 << len(elems)):
         bit = i & -i  # the bit Gray code i flips
         j = bit.bit_length() - 1
@@ -314,8 +314,7 @@ def _gray(f: SetFunctionOracle):
             value += gain(mask ^ bit, j)
         else:
             value -= gain(mask, j)
-        size += 1 if mask & bit else -1
-        yield mask, size, value
+        yield mask, value
 
 
 CHECK_CAP = 8  # largest ground set check_kind and check_monotone accept
@@ -324,7 +323,7 @@ CHECK_CAP = 8  # largest ground set check_kind and check_monotone accept
 def _check_table(f: SetFunctionOracle, check: str) -> dict:
     """f's value at every int mask, for an exhaustive check of at most CHECK_CAP elements."""
     GroundSetTooLargeError.check(f"{check} check", len(f.ground), CHECK_CAP)
-    return {mask: v for mask, _, v in walk(f)}
+    return dict(walk(f))
 
 
 def check_kind(f: SetFunctionOracle) -> bool:

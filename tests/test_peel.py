@@ -24,6 +24,7 @@ from conftest import (
 from densefw import (
     BaseVector,
     MultiGraph,
+    PeelResult,
     SetFunctionOracle,
     contract,
     density_vector,
@@ -34,7 +35,7 @@ from densefw import (
     verify_bases,
     weighted_supergreedy,
 )
-from densefw.errors import OracleFlagError
+from densefw.errors import OracleFlagError, Record
 from densefw.setfn import SUPERMODULAR
 
 
@@ -234,6 +235,20 @@ class TestWeightedSupergreedy:
         for h in (f, without_hooks(f, "_gains"), without_hooks(f)):
             got = weighted_supergreedy(h, [0, 0, 0])
             assert (got.order, got.dhat) == ((2, 0, 1), BaseVector((2, 0, 1), (1, 1, 1)))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("hooks", [("_gains", "_peel"), ("_gains",), ()],
+                             ids=["heap", "gains scan", "value scan"])
+    def test_every_peel_refuses_a_weight_that_is_not_finite(self, hooks, bad):
+        """On the path 0-1-2 the heap, the gains scan and the value scan all
+        refuse a NaN or infinite weight with one ValueError naming the first
+        such weight; a finite int beyond the float range is still a weight."""
+        f = without_hooks(edge_count_fn(MultiGraph(3, ((0, 1), (1, 2)))), *hooks)
+        with pytest.raises(ValueError, match=f"^weight 0 is {bad}, not a finite number$"):
+            weighted_supergreedy(f, [bad, 0, 0])
+        with pytest.raises(ValueError, match=f"^weight 1 is {bad}, not a finite number$"):
+            weighted_supergreedy(f, [0, bad, math.nan])
+        assert weighted_supergreedy(f, [10**400, 0, 0]).order == (2, 1, 0)
 
     def test_marginals_telescope_to_full_value(self):
         f = contract(edge_count_fn(three_tier()), {0})
@@ -445,6 +460,23 @@ class TestSupergreedyPP:
         asked.clear()
         assert supergreedy_pp(counted, 9) == supergreedy_pp(f, 9)
         assert asked == []
+
+    def test_run_builds_no_peel_result(self, monkeypatch):
+        """A run's LMO turns each round's positions into one BaseVector;
+        only weighted_supergreedy builds a PeelResult, by heap or scan."""
+        built = []
+
+        def counted(self, *values):
+            built.append(values)
+            Record.__init__(self, *values)
+
+        monkeypatch.setattr(PeelResult, "__init__", counted)
+        f = edge_count_fn(three_tier())
+        for h in (f, without_hooks(f, "_gains"), without_hooks(f)):
+            assert supergreedy_pp(h, 9).best_set == frozenset({0, 1, 2, 3})
+            assert built == []
+        weighted_supergreedy(f, [0] * len(f.ground))
+        assert len(built) == 1
 
     def test_converges_to_density_vector(self):
         f = edge_count_fn(tri_pendant())

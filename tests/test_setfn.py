@@ -228,13 +228,12 @@ def subset_at(elems, mask):
 
 
 def walk_matches_eval(h, ref=None):
-    """Every (mask, size, value) of walk(h) against the frozenset
+    """Every (mask, value) of walk(h) against the frozenset
     evaluation ref(S), by default h._eval(S); returns the number of subsets."""
     ref = ref or h._eval
     seen = 0
-    for mask, size, value in walk(h):
+    for mask, value in walk(h):
         s = subset_at(h.ground, mask)
-        assert size == len(s)
         assert value == ref(s), sorted(s)
         seen += 1
     return seen
@@ -289,7 +288,7 @@ class TestSubsets:
         assert ENUM_CAP == 20
         f = edge_count_fn(MultiGraph(20, ((0, 19),)))
         scan = walk(f)
-        assert next(scan) == (0, 0, 0)
+        assert next(scan) == (0, 0)
 
     @pytest.mark.parametrize("hooked", [True, False])
     def test_gray_order_visits_each_mask_once(self, hooked):
@@ -299,11 +298,10 @@ class TestSubsets:
         assert (f._gains is not None) == hooked
         for n in range(len(f.ground) + 1):
             rows = list(walk(restrict(f, f.ground[:n])))
-            masks = [mask for mask, _, _ in rows]
+            masks = [mask for mask, _ in rows]
             assert masks[0] == 0
             assert sorted(masks) == list(range(1 << n))
             assert all((a ^ b).bit_count() == 1 for a, b in zip(masks, masks[1:]))
-            assert all(size == mask.bit_count() for mask, size, _ in rows)
 
     def test_edge_count_hook_matches_eval(self):
         rng = random.Random(89)

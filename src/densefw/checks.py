@@ -27,13 +27,14 @@ def integral_orientation_loads(g: MultiGraph) -> list[tuple[int, ...]]:
     return [polytope.Orientation.from_mask(g, mask).induced_load(g).values for mask in range(1 << g.m)]
 
 
-def curvature_witness(g: MultiGraph) -> int:
-    """max over integral orientation pairs of 2 * ||s - x||^2.
+def curvature_witness(loads: list[tuple[int, ...]]) -> int:
+    """max over integral orientation pairs of 2 * ||s - x||^2, from the
+    loads `integral_orientation_loads` returns.
 
     Lands in [2m, 2 * sum deg^2]; the witness pair certifies the lower end
     of the curvature bracket.
     """
-    rows = list(set(integral_orientation_loads(g)))
+    rows = list(set(loads))
     # Squared distances are ints up to (2m)^2, so distinct ones have square
     # roots much further apart than math.dist's rounding error: the float
     # search finds a farthest pair, whose distance is then taken in ints.
@@ -93,7 +94,7 @@ def run_instance_checks(g: MultiGraph, seed: int = 0) -> list[CheckResult]:
         if g.n <= 6:  # verts was enumerated above
             add("vertices_are_orientations", all(v.values in distinct for v in verts))
         lo, hi = fw.curvature_bounds(g)
-        wit = curvature_witness(g)
+        wit = curvature_witness(loads)
         add("curvature_bracket", lo <= wit <= hi, f"2m={lo} witness={wit} cap={hi}")
 
     if g.m >= 1:

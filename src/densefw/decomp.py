@@ -61,13 +61,19 @@ class DenseDecomposition(Record):
         return BaseVector(ground, tuple(value_of[e] for e in ground))
 
 
-def _densest(h: SetFunctionOracle) -> tuple[frozenset[int], Fraction]:
-    """Maximal maximizer of h(S) / |S| over nonempty S, by one walk. The
-    union of all maximizers is returned; supermodularity makes it a
-    maximizer itself, and that is re-checked so a mis-flagged oracle fails
-    loudly instead of silently."""
+def densest_set_bruteforce(f: SetFunctionOracle) -> tuple[frozenset[int], Fraction]:
+    """Maximal maximizer of f(S)/|S| over nonempty S, by one walk: the
+    first block of the contraction decomposition, and the scan with which
+    `decompose_supermodular` finds every block. The union of all maximizers
+    is returned; supermodularity makes it a maximizer itself, and that is
+    re-checked so a mis-flagged oracle fails loudly instead of silently. An
+    empty ground set raises ValueError before the oracle is asked anything."""
+    if f.kind != SUPERMODULAR:
+        raise OracleFlagError("densest_set_bruteforce needs a supermodular oracle")
+    if not f.ground:
+        raise ValueError("densest_set_bruteforce needs a nonempty ground set, got an empty one")
     num, den, union = 0, 0, 0  # best density num / den, compared by cross-multiplying; den == 0 at first
-    for mask, value in walk(h):
+    for mask, value in walk(f):
         size = mask.bit_count()
         if not size:
             continue
@@ -78,21 +84,10 @@ def _densest(h: SetFunctionOracle) -> tuple[frozenset[int], Fraction]:
             union |= mask
     assert den
     best = Fraction(num, den)
-    top = frozenset(e for j, e in enumerate(h.ground) if union >> j & 1)
-    if Fraction(h._eval(top), len(top)) != best:
+    top = frozenset(e for j, e in enumerate(f.ground) if union >> j & 1)
+    if Fraction(f._eval(top), len(top)) != best:
         raise OracleFlagError("maximizers not closed under union; oracle is not supermodular")
     return top, best
-
-
-def densest_set_bruteforce(f: SetFunctionOracle) -> tuple[frozenset[int], Fraction]:
-    """Maximal maximizer of f(S)/|S| over nonempty S, by full enumeration;
-    it is the first block of `decompose_supermodular`. An empty ground set
-    raises ValueError before the oracle is asked anything."""
-    if f.kind != SUPERMODULAR:
-        raise OracleFlagError("densest_set_bruteforce needs a supermodular oracle")
-    if not f.ground:
-        raise ValueError("densest_set_bruteforce needs a nonempty ground set, got an empty one")
-    return _densest(f)
 
 
 def decompose_supermodular(f: SetFunctionOracle) -> DenseDecomposition:
@@ -104,7 +99,7 @@ def decompose_supermodular(f: SetFunctionOracle) -> DenseDecomposition:
     blocks: list[tuple[int, ...]] = []
     densities: list[Fraction] = []
     while len(acc) < len(f.ground):
-        top, best = _densest(contract(f, acc))
+        top, best = densest_set_bruteforce(contract(f, acc))
         if densities and best >= densities[-1]:
             raise OracleFlagError("block densities failed to decrease strictly")
         blocks.append(tuple(sorted(top)))

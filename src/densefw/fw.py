@@ -52,16 +52,13 @@ class ConvergenceTrace(Record):
 
     records: list[TraceRecord]
 
-    def to_csv(self) -> str:
-        lines = ["k,objective,gamma,dist_ref"]
-        for r in self.records:
-            dist = "" if r.dist_ref is None else format(r.dist_ref, ".12g")
-            lines.append(f"{r.k},{format(r.objective, '.12g')},{format(r.gamma, '.12g')},{dist}")
-        return "\n".join(lines) + "\n"
-
     def write_csv(self, path) -> None:
+        """Write the header, then one line per record; every line ends in '\\n'."""
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_csv())
+            fh.write("k,objective,gamma,dist_ref\n")
+            for r in self.records:
+                dist = "" if r.dist_ref is None else format(r.dist_ref, ".12g")
+                fh.write(f"{r.k},{format(r.objective, '.12g')},{format(r.gamma, '.12g')},{dist}\n")
 
 
 def frank_wolfe(

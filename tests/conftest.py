@@ -1,22 +1,29 @@
 """Shared instances and generators for the test suite.
 
-Canonical graphs are built inline (the data/ files mirror them for CLI
-tests). Random instances come from seeded generators so failures
-reproduce; hypothesis strategies cover the structured property tests.
+Canonical graphs with a data/ file are read from it, so the library tests
+and the CLI tests run on the same bytes; the rest are built inline. Random
+instances come from seeded generators so failures reproduce; hypothesis
+strategies cover the structured property tests.
 """
 
 from __future__ import annotations
 
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 
-from densefw import MultiGraph
+from densefw import MultiGraph, SetFunctionOracle, parse_edge_list
+from densefw.setfn import SUPERMODULAR
 
 DATA_DIR = Path(__file__).resolve().parent.parent / "data"
+
+
+def read_data(name: str) -> MultiGraph:
+    return parse_edge_list((DATA_DIR / name).read_text(encoding="utf-8"))
 
 
 def single_edge() -> MultiGraph:
@@ -28,16 +35,16 @@ def parallel_pair() -> MultiGraph:
 
 
 def p3() -> MultiGraph:
-    return MultiGraph(3, ((0, 1), (1, 2)))
+    return read_data("p3.el")
 
 
 def triangle() -> MultiGraph:
-    return MultiGraph(3, ((0, 1), (1, 2), (2, 0)))
+    return read_data("triangle.el")
 
 
 def star() -> MultiGraph:
     """Three leaves hanging off vertex 0 (matches data/k13.el)."""
-    return MultiGraph(4, ((0, 1), (0, 2), (0, 3)))
+    return read_data("k13.el")
 
 
 def star_center_last() -> MultiGraph:
@@ -47,13 +54,13 @@ def star_center_last() -> MultiGraph:
 
 
 def k4() -> MultiGraph:
-    return MultiGraph(4, ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
+    return read_data("k4.el")
 
 
 def tri_pendant() -> MultiGraph:
     """Triangle 0-1-2 plus pendant vertex 3 on vertex 2; the pendant edge
     has index 3."""
-    return MultiGraph(4, ((0, 1), (1, 2), (2, 0), (2, 3)))
+    return read_data("tri_pendant.el")
 
 
 def three_tier() -> MultiGraph:
@@ -62,14 +69,14 @@ def three_tier() -> MultiGraph:
     Densest core 3/2, middle tier 4/3, pendant tier 1; mirrors
     data/three_tier.el edge for edge.
     """
-    return MultiGraph(
-        8,
-        (
-            (0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
-            (4, 5), (4, 6), (5, 6),
-            (0, 4), (0, 7),
-        ),
-    )
+    return read_data("three_tier.el")
+
+
+def modular(ground, per_element, kind=SUPERMODULAR) -> SetFunctionOracle:
+    """f(S) = per_element * |S|; both kinds apply, declared supermodular
+    unless `kind` says otherwise."""
+    c = Fraction(per_element)
+    return SetFunctionOracle(tuple(ground), kind, True, True, lambda s: c * len(s))
 
 
 # name -> constructor; the instance sweep used by invariant tests.

@@ -38,7 +38,7 @@ from densefw import (
 from densefw.decomp import certify_lex_optimal
 from densefw.fw import harmonic_numbers_float
 from densefw.polytope import lmo
-from densefw.checks import curvature_witness
+from densefw.checks import curvature_witness, integral_orientation_loads
 
 
 def report(num: int, desc: str, problems: list):
@@ -243,7 +243,7 @@ def test_criterion_09_curvature_witness_inside_bracket():
     for i in range(20):
         g = random_multigraph(rng, n_max=6, m_max=10)
         lo, hi = curvature_bounds(g)
-        wit = curvature_witness(g)
+        wit = curvature_witness(integral_orientation_loads(g))
         if not lo <= wit <= hi:
             problems.append(f"instance {i}: {lo} <= {wit} <= {hi}")
     report(9, "orientation-pair curvature witness lands in [2m, 2*sum(deg^2)]", problems)

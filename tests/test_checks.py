@@ -5,7 +5,7 @@ import random
 import pytest
 
 from conftest import k4, random_multigraph, single_edge, three_tier, tri_pendant, triangle
-from densefw import BaseVector, MultiGraph, curvature_bounds, edge_count_fn, peel, polytope, treepack, verify_bases
+from densefw import BaseVector, MultiGraph, checks, curvature_bounds, edge_count_fn, peel, polytope, treepack, verify_bases
 from densefw.errors import GroundSetTooLargeError
 from densefw.checks import (
     curvature_witness,
@@ -35,23 +35,24 @@ class TestOrientationEnumeration:
 class TestCurvatureWitness:
     def test_triangle_value(self):
         # reversing all three edges moves every coordinate by 2: ||s-x||^2 = 8
-        assert curvature_witness(triangle()) == 16
+        assert curvature_witness(integral_orientation_loads(triangle())) == 16
 
     def test_single_edge_value(self):
-        assert curvature_witness(single_edge()) == 4
+        assert curvature_witness(integral_orientation_loads(single_edge())) == 4
 
     def test_within_bracket(self):
         for g in (single_edge(), triangle(), tri_pendant(), k4()):
             lo, hi = curvature_bounds(g)
-            assert lo <= curvature_witness(g) <= hi
+            assert lo <= curvature_witness(integral_orientation_loads(g)) <= hi
 
     def test_matches_pairwise_maximum(self):
         rng = random.Random(29)
         for _ in range(100):
             g = random_multigraph(rng, n_max=8, m_max=10)
-            rows = set(integral_orientation_loads(g))
+            loads = integral_orientation_loads(g)
+            rows = set(loads)
             want = 2 * max(sum((a - b) ** 2 for a, b in zip(s, x)) for s in rows for x in rows)
-            assert curvature_witness(g) == want
+            assert curvature_witness(loads) == want
 
 
 class TestRunInstanceChecks:
@@ -95,6 +96,17 @@ class TestRunInstanceChecks:
         assert {"ideal_loads_match_partitions", "max_load_is_inv_strength"} <= names
         assert all(r.ok for r in results)
         assert whole.count(True) == 1
+
+    def test_orientation_loads_are_enumerated_once(self, monkeypatch):
+        """curvature_bracket reads the loads that orientation_loads_are_bases
+        already built, so the 2^m orientations are enumerated once."""
+        calls = []
+        enumerate_loads = checks.integral_orientation_loads
+        monkeypatch.setattr(checks, "integral_orientation_loads", lambda g: calls.append(g) or enumerate_loads(g))
+        results = run_instance_checks(tri_pendant())
+        assert {"orientation_loads_are_bases", "curvature_bracket"} <= {r.name for r in results}
+        assert all(r.ok for r in results)
+        assert len(calls) == 1
 
     def test_an_lmo_answering_the_heaviest_vertex_fails_edmonds_minimizes(self, monkeypatch):
         exact = polytope.lmo

@@ -11,6 +11,7 @@ from conftest import (
     canonical_graphs,
     random_connected_graph,
     k4,
+    modular,
     p3,
     random_multigraph,
     single_edge,
@@ -50,11 +51,6 @@ from densefw.errors import (
 )
 from densefw.polytope import lmo
 from densefw.setfn import ENUM_CAP, SUBMODULAR, SUPERMODULAR
-
-
-def modular(ground, per_element, kind=SUPERMODULAR):
-    c = Fraction(per_element)
-    return SetFunctionOracle(tuple(ground), kind, True, True, lambda s: c * len(s))
 
 
 def big_path_graph(n=21):
@@ -296,6 +292,16 @@ class TestDensityVector:
         fe = edge_count_fn(g)
         dec = decompose_supermodular(fe)
         assert densest_set_bruteforce(fe) == (frozenset(dec.blocks[0]), dec.densities[0])
+
+    def test_every_block_is_one_densest_set_scan(self, monkeypatch):
+        """decompose_supermodular finds each block with densest_set_bruteforce
+        on the contraction of the blocks before it."""
+        calls = []
+        scan = decomp.densest_set_bruteforce
+        monkeypatch.setattr(decomp, "densest_set_bruteforce", lambda h: calls.append(h) or scan(h))
+        dec = decompose_supermodular(edge_count_fn(three_tier()))
+        assert len(dec.blocks) == 3
+        assert len(calls) == 3
 
     @pytest.mark.parametrize("g", vector_cases())
     def test_decomposition_vector_is_density_vector(self, g):

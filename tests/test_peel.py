@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    modular,
     multigraphs,
     random_multigraph,
     single_edge,
@@ -37,11 +38,6 @@ from densefw import (
 )
 from densefw.errors import OracleFlagError, Record
 from densefw.setfn import SUPERMODULAR
-
-
-def modular(ground, per_element):
-    c = Fraction(per_element)
-    return SetFunctionOracle(tuple(ground), SUPERMODULAR, True, True, lambda s: c * len(s))
 
 
 def without_hooks(f, *hooks):

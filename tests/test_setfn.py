@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from conftest import multigraphs, random_multigraph, star, three_tier, tri_pendant, triangle
+from conftest import modular, multigraphs, random_multigraph, star, three_tier, tri_pendant, triangle
 from densefw import (
     MultiGraph,
     SetFunctionOracle,
@@ -30,12 +30,6 @@ from densefw.setfn import (
     walk,
 )
 from densefw.polytope import _chain
-
-
-def modular(ground, per_element):
-    """f(S) = per_element * |S|; both kinds apply, declared supermodular."""
-    c = Fraction(per_element)
-    return SetFunctionOracle(tuple(ground), SUPERMODULAR, True, True, lambda s: c * len(s))
 
 
 def all_subsets(elems):
